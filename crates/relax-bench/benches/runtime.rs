@@ -1,14 +1,16 @@
 //! Runtime micro-benchmarks: VM decode steps on the executable tiny model,
 //! raw tensor-program execution comparing the reference interpreter
 //! against shape-specialized kernel plans (serial and multi-threaded),
-//! serving throughput through the `relax-serve` worker pool (1 vs 4
-//! workers, shared vs private plan cache), the kv-append kernel pair
-//! (scalar reference vs row-copy), and mixed-traffic session serving
-//! (continuous paged batching vs the shape-batched copy baseline).
+//! serving throughput through the `relax-serve` worker pool (1 vs 4 vs 8
+//! workers), the kv-append kernel pair (scalar reference vs row-copy),
+//! and mixed-traffic session serving (continuous paged batching vs the
+//! shape-batched copy baseline).
 //!
 //! Plain `std::time::Instant` harness (see `relax_bench::timing`); run with
 //! `cargo bench -p relax-bench --bench runtime`. Writes the medians to
-//! `BENCH_runtime.json` at the repository root.
+//! `BENCH_runtime.json` at the repository root, or under `target/` in
+//! fast mode (`RELAX_BENCH_FAST=1`) so smoke runs leave the committed
+//! file alone.
 
 use std::sync::Arc;
 
@@ -419,7 +421,6 @@ fn bench_kv_append(rows: &mut Vec<(String, f64)>) {
 struct ServingRow {
     name: String,
     workers: usize,
-    shared_cache: bool,
     /// Host CPUs actually available to this row's worker threads. On a
     /// 1-core host a 4-worker row cannot beat 1 worker — the honest
     /// ceiling for CPU-bound decode is parity, and this column is what
@@ -443,7 +444,7 @@ struct ServingRow {
 /// signatures) through a fresh engine, `repeats` waves, and keeps the
 /// best wall time. The report from shutdown supplies the cache and
 /// latency columns.
-fn serve_run(name: &str, workers: usize, shared_cache: bool, requests: usize) -> ServingRow {
+fn serve_run(name: &str, workers: usize, requests: usize) -> ServingRow {
     let ir = relax_models::llama::build_decode(&LlamaConfig::tiny()).unwrap();
     let exec = compile(ir.module.clone(), &CompileOptions::default()).unwrap();
     let arg_sets = [tiny_decode_args(&ir, 1, 4), tiny_decode_args(&ir, 2, 8)];
@@ -453,7 +454,6 @@ fn serve_run(name: &str, workers: usize, shared_cache: bool, requests: usize) ->
         ServeConfig {
             workers,
             queue_capacity: requests + 1,
-            shared_plan_cache: shared_cache,
             ..ServeConfig::default()
         },
     );
@@ -482,7 +482,6 @@ fn serve_run(name: &str, workers: usize, shared_cache: bool, requests: usize) ->
     ServingRow {
         name: name.to_string(),
         workers,
-        shared_cache,
         host_threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -499,15 +498,13 @@ fn serve_run(name: &str, workers: usize, shared_cache: bool, requests: usize) ->
 }
 
 /// Serving throughput: the same decode workload through 1, 4 and 8
-/// workers over the shared plan cache, and 4 workers with private
-/// caches (the compile-redundancy baseline).
+/// workers sharing one plan cache.
 fn bench_serving(rows: &mut Vec<(String, f64)>) -> Vec<ServingRow> {
     let requests = if fast_mode() { 8 } else { 32 };
     let runs = vec![
-        serve_run("serve/decode/workers1_shared", 1, true, requests),
-        serve_run("serve/decode/workers4_shared", 4, true, requests),
-        serve_run("serve/decode/workers4_private", 4, false, requests),
-        serve_run("serve/decode/workers8_shared", 8, true, requests),
+        serve_run("serve/decode/workers1", 1, requests),
+        serve_run("serve/decode/workers4", 4, requests),
+        serve_run("serve/decode/workers8", 8, requests),
     ];
     for r in &runs {
         rows.push((r.name.clone(), r.ns_per_req));
@@ -1184,24 +1181,37 @@ fn bench_spec_decode(rows: &mut Vec<(String, f64)>) -> Vec<DynamicRow> {
     vec![spec_row, plain_row]
 }
 
-/// Re-runs the 4-worker shared-cache serving wave with tracing captured
-/// and writes the Chrome trace-event export to `BENCH_trace.json` next
-/// to `BENCH_runtime.json`. The export is validated with the in-repo
+/// Re-runs the 4-worker serving wave with tracing captured and writes
+/// the Chrome trace-event export to `BENCH_trace.json` next to
+/// `BENCH_runtime.json`. The export is validated with the in-repo
 /// checker before it is written; a bad trace fails the bench run.
 fn export_serving_trace() {
     let capture = relax_trace::Capture::begin();
     let requests = if fast_mode() { 8 } else { 32 };
-    serve_run("serve/decode/workers4_traced", 4, true, requests);
+    serve_run("serve/decode/workers4_traced", 4, requests);
     let trace = capture.finish();
     trace.validate().expect("serving trace is well-formed");
     let json = trace.chrome_json();
     let stats = relax_trace::validate_chrome_trace(&json).expect("chrome export passes the checker");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    std::fs::write(path, &json).expect("write BENCH_trace.json");
+    let path = output_path("BENCH_trace.json");
+    std::fs::write(&path, &json).expect("write BENCH_trace.json");
     println!(
         "wrote {path} ({} events, {} request spans, {} threads, {} dropped)",
         stats.events, stats.async_pairs, stats.threads, stats.dropped
     );
+}
+
+/// Where a result file goes: the repository root, or `target/` in fast
+/// mode so smoke runs never overwrite the committed files.
+fn output_path(file: &str) -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    if fast_mode() {
+        let dir = format!("{root}/target");
+        std::fs::create_dir_all(&dir).expect("create target/");
+        format!("{dir}/{file}")
+    } else {
+        format!("{root}/{file}")
+    }
 }
 
 /// One full-pipeline compile of the tiny decode module, reporting where
@@ -1252,14 +1262,12 @@ fn write_json(
     for (i, r) in serving.iter().enumerate() {
         let sep = if i + 1 < serving.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"workers\": {}, \"shared_cache\": {}, \
-             \"host_threads\": {}, \
+            "    {{\"name\": \"{}\", \"workers\": {}, \"host_threads\": {}, \
              \"total_ns\": {:.0}, \"ns_per_req\": {:.1}, \"plan_compiles\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \"cold_keys\": {}, \
              \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}{sep}\n",
             r.name,
             r.workers,
-            r.shared_cache,
             r.host_threads,
             r.total_ns,
             r.ns_per_req,
@@ -1398,8 +1406,8 @@ fn write_json(
     out.push_str("      \"matmul_large_par4_vs_plan1\": 1.00,\n");
     out.push_str("      \"serve_decode_4w_vs_1w\": 0.76\n");
     out.push_str("    }\n  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
-    std::fs::write(path, out).expect("write BENCH_runtime.json");
+    let path = output_path("BENCH_runtime.json");
+    std::fs::write(&path, out).expect("write BENCH_runtime.json");
     println!("wrote {path}");
 }
 
@@ -1438,7 +1446,7 @@ fn main() {
         ),
         (
             "serve_decode_8w_vs_1w",
-            serving[0].total_ns / serving[3].total_ns,
+            serving[0].total_ns / serving[2].total_ns,
         ),
         // Mixed-traffic sessions: continuous paged batching over the
         // shape-batched copy baseline (same schedule, same tokens).

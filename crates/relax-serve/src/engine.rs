@@ -202,13 +202,9 @@ pub struct ServeConfig {
     /// Deadline applied to every request submitted without an explicit
     /// one. `None` means requests never expire.
     pub default_deadline: Option<Duration>,
-    /// Kernel-plan cache capacity (per cache).
+    /// Capacity of the plan cache all workers share: a shape compiled
+    /// by any worker is a hit for every other.
     pub plan_cache_capacity: usize,
-    /// `true` (default): all workers share one plan cache, so a shape
-    /// compiled by any worker is a hit for every other. `false`: each
-    /// worker gets a private cache (the baseline the bench compares
-    /// against).
-    pub shared_plan_cache: bool,
     /// Intra-kernel parallelism for each worker VM (see
     /// [`relax_vm::Vm::set_parallelism`]). Serving parallelism usually wants this
     /// at 1: inter-request parallelism comes from the pool.
@@ -242,7 +238,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             default_deadline: None,
             plan_cache_capacity: 64,
-            shared_plan_cache: true,
             vm_parallelism: 1,
             worker_faults: Vec::new(),
             retry: None,
@@ -386,11 +381,9 @@ pub(crate) struct Core {
     pub(crate) epoch: Instant,
     pub(crate) exec: Arc<Executable>,
     pub(crate) registry: Arc<Registry>,
-    /// One handle per worker slot; all clones of the same cache when
-    /// shared. Respawned workers reuse their slot's cache, so a healed
-    /// pool keeps its warm plans.
-    pub(crate) caches: Vec<SharedPlanCache>,
-    pub(crate) shared_cache: bool,
+    /// The plan cache every worker VM shares. Respawned workers reuse
+    /// it, so a healed pool keeps its warm plans.
+    pub(crate) plan_cache: SharedPlanCache,
     pub(crate) vm_parallelism: usize,
     pub(crate) max_batch: usize,
     pub(crate) retry: Option<RetryPolicy>,
@@ -406,25 +399,6 @@ impl Core {
     /// Nanoseconds since the engine epoch (heartbeat clock).
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    /// Aggregate plan-cache counters: the shared cache's stats when the
-    /// cache is shared, otherwise the sum over private caches.
-    fn plan_cache_stats(&self) -> relax_vm::PlanCacheStats {
-        if self.shared_cache {
-            return self.caches.first().map(|c| c.stats()).unwrap_or_default();
-        }
-        let mut total = relax_vm::PlanCacheStats::default();
-        for c in &self.caches {
-            let s = c.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.probes += s.probes;
-            total.evictions += s.evictions;
-            total.len += s.len;
-            total.capacity += s.capacity;
-        }
-        total
     }
 
     /// A point-in-time snapshot of the engine counters.
@@ -447,7 +421,7 @@ impl Core {
             quarantined: c.quarantined.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
             batched_extra: c.batched_extra.load(Ordering::Relaxed),
-            plan_cache: self.plan_cache_stats(),
+            plan_cache: self.plan_cache.stats(),
             latency: lock(&self.latencies).summary(),
         }
     }
@@ -612,16 +586,6 @@ impl ServeEngine {
         let registry = Arc::new(registry);
         let workers = config.workers.max(1);
 
-        let shared = SharedPlanCache::new(config.plan_cache_capacity);
-        let mut caches = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            caches.push(if config.shared_plan_cache {
-                shared.clone()
-            } else {
-                SharedPlanCache::new(config.plan_cache_capacity)
-            });
-        }
-
         // Seed chosen once; the reservoir is deterministic per engine.
         const LATENCY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
         let core = Arc::new(Core {
@@ -634,8 +598,7 @@ impl ServeEngine {
             epoch: Instant::now(),
             exec,
             registry,
-            caches,
-            shared_cache: config.shared_plan_cache,
+            plan_cache: SharedPlanCache::new(config.plan_cache_capacity),
             vm_parallelism: config.vm_parallelism,
             max_batch: config.max_batch.max(1),
             retry: config.retry.clone(),

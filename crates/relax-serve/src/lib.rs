@@ -9,17 +9,18 @@
 //!   and a fixed pool of worker threads, each with a private
 //!   [`relax_vm::Vm`] built from shared read-only parts
 //!   ([`relax_vm::Vm::from_parts`]).
-//! - **Bounded request queue** — submissions beyond capacity are
-//!   rejected with [`ServeError::QueueFull`] (backpressure), never
-//!   buffered unboundedly.
+//! - **Bounded request queue** — one `Mutex<VecDeque>` and one
+//!   `Condvar`; submissions beyond capacity are rejected with
+//!   [`ServeError::QueueFull`] (backpressure), never buffered
+//!   unboundedly.
 //! - **Deadlines** — requests still queued past their deadline are shed
 //!   with [`ServeError::DeadlineExceeded`] instead of executing late.
 //! - **Shape batching** — the dequeue path groups queued requests whose
 //!   arguments have identical concrete shapes, so one compiled kernel
 //!   plan serves the whole batch.
 //! - **Shared plan cache** — all workers share one
-//!   [`relax_vm::SharedPlanCache`] by default: a shape specialized by
-//!   any worker is a cache hit for every other.
+//!   [`relax_vm::SharedPlanCache`]: a shape specialized by any worker is
+//!   a cache hit for every other.
 //! - **Self-healing** — worker panics are contained at the worker loop
 //!   and a supervisor thread respawns fresh VMs into failed slots (up
 //!   to a restart budget, then quarantine); wedged workers are detected

@@ -1,47 +1,32 @@
 //! A bounded MPMC request queue with shape-aware batch dequeue and
 //! watermark-driven overload control.
 //!
-//! `std` only. The queue is *sharded*: requests are routed to one of
-//! [`SHARD_COUNT`] independent `Mutex<VecDeque>` shards by a hash of
-//! their batching key `(function, shape signature)`, so producers and
-//! consumers touching different shapes never contend on one global lock.
-//! Same-key requests always land on the same shard, which is what keeps
-//! batch dequeue intact: a batch is the oldest request plus every queued
-//! request with the same key (all co-located), up to a cap. Requests
-//! batched together resolve the same plan-cache entry, so a worker pays
-//! at most one cache probe chain per batch of identical decode steps.
-//! Consumers pick the shard whose head request is globally oldest (a
-//! per-shard head-sequence mirror read without locks), so dequeue order
-//! stays head-FIFO; only *within*-push ordering across different shards
-//! is approximate under concurrency.
+//! `std` only: one `Mutex<VecDeque>` (instrumented as the `serve.queue`
+//! lock site) and one `Condvar`. A batch is the oldest request plus every
+//! queued request with the same batching key `(function, shape
+//! signature)`, up to a cap, taken in FIFO order. Requests batched
+//! together resolve the same plan-cache entry, so a worker pays at most
+//! one cache probe chain per batch of identical decode steps.
 //!
 //! Producers never block — a full queue is *backpressure* and the submit
 //! call reports it to the caller instead of buffering unboundedly.
-//! Admission is a lock-free depth reservation (one `fetch_add`); between
-//! "empty" and "full" an optional [`OverloadPolicy`] adds two
+//! Between "empty" and "full" an optional [`OverloadPolicy`] adds two
 //! watermarks: at the *shed* watermark each admission evicts the queued
 //! request with the least remaining deadline budget (when one expires
 //! sooner than the newcomer), and at the *reject* watermark new work is
 //! refused outright.
 //!
-//! Wakeups are targeted: an idle consumer registers as a sleeper before
-//! parking, and a push issues one `notify_one` only when sleepers exist
-//! (`notify_all` happens only on close). The sleeper count is checked
-//! after the pushed item is globally visible (its depth reservation
-//! precedes the sleeper check, and a registering sleeper re-checks depth
-//! before parking), so a wakeup can never be lost: either the producer
-//! sees the sleeper and notifies under the sleep lock, or the sleeper
-//! sees the depth and retries.
+//! A push wakes one parked consumer (`notify_one`, and only when one is
+//! parked); closing wakes them all, and they drain what is left before
+//! seeing `None`.
 //!
 //! A refused push hands the request *back* to the caller instead of
 //! dropping it: who resolves the reply channel (refuse typed, retry
 //! later, …) is the engine's decision, not the queue's.
 
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use relax_trace::LockSite;
@@ -49,11 +34,7 @@ use relax_vm::Value;
 
 use crate::engine::{AdmissionLevel, OverloadPolicy, ServeError};
 
-/// Number of independent dequeue shards.
-const SHARD_COUNT: usize = 8;
-
-static QUEUE_SHARD_SITE: LockSite = LockSite::new("serve.queue.shard");
-static QUEUE_SLEEP_SITE: LockSite = LockSite::new("serve.queue.sleep");
+static QUEUE_SITE: LockSite = LockSite::new("serve.queue");
 
 /// A queued inference request.
 pub(crate) struct Request {
@@ -84,9 +65,10 @@ pub(crate) struct Request {
 }
 
 impl Request {
-    /// The batching key: same function, same concrete argument shapes.
-    fn batch_key(&self) -> (&str, &[Vec<usize>]) {
-        (&self.func, &self.shape_sig)
+    /// Same function, same concrete argument shapes: the two can share a
+    /// batch.
+    fn batches_with(&self, other: &Request) -> bool {
+        self.func == other.func && self.shape_sig == other.shape_sig
     }
 }
 
@@ -114,51 +96,22 @@ pub(crate) enum PushOutcome {
     Refused { req: Request, why: PushError },
 }
 
-/// A queued request stamped with its global admission sequence number
-/// (the cross-shard FIFO order).
-struct Queued {
-    seq: u64,
-    req: Request,
-}
-
-/// One dequeue shard. `head_seq` mirrors the sequence number of the
-/// shard's front request (`u64::MAX` when empty) so consumers can find
-/// the globally oldest head without taking any shard lock.
-struct Shard {
-    items: Mutex<VecDeque<Queued>>,
-    head_seq: AtomicU64,
-}
-
-impl Shard {
-    /// Refreshes the head mirror; call with the shard lock held after
-    /// any mutation.
-    fn publish_head(&self, items: &VecDeque<Queued>) {
-        self.head_seq.store(
-            items.front().map_or(u64::MAX, |q| q.seq),
-            Ordering::Release,
-        );
-    }
+/// Everything behind the queue lock.
+#[derive(Default)]
+struct State {
+    items: VecDeque<Request>,
+    closed: bool,
+    /// Consumers parked on the condvar.
+    parked: usize,
+    /// Wakeups issued by pushes (close's `notify_all` is not counted).
+    /// Test observability.
+    wakeups: u64,
 }
 
 /// Bounded multi-producer multi-consumer queue.
 pub(crate) struct RequestQueue {
-    shards: Vec<Shard>,
-    /// Global admission order stamp.
-    next_seq: AtomicU64,
-    /// Total queued requests: admission reserves here *before* inserting
-    /// into a shard, so depth is also the "work may exist" signal the
-    /// sleep handshake re-checks. `stats()` reads it without any lock.
-    depth: AtomicUsize,
-    /// Sleep handshake: consumers park on `wake` under `sleep` after
-    /// registering in `sleepers`; producers notify only when sleepers
-    /// exist. `closed` flips once, under the sleep lock.
-    sleep: Mutex<()>,
-    wake: Condvar,
-    sleepers: AtomicUsize,
-    closed: AtomicBool,
-    /// Targeted wakeups issued by pushes and chain-notifies (close's
-    /// `notify_all` is not counted). Test observability.
-    wakeups: AtomicU64,
+    state: Mutex<State>,
+    ready: Condvar,
     capacity: usize,
     overload: Option<OverloadPolicy>,
 }
@@ -166,22 +119,15 @@ pub(crate) struct RequestQueue {
 impl RequestQueue {
     pub(crate) fn new(capacity: usize, overload: Option<OverloadPolicy>) -> Self {
         RequestQueue {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Shard {
-                    items: Mutex::new(VecDeque::new()),
-                    head_seq: AtomicU64::new(u64::MAX),
-                })
-                .collect(),
-            next_seq: AtomicU64::new(0),
-            depth: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            wakeups: AtomicU64::new(0),
+            state: Mutex::new(State::default()),
+            ready: Condvar::new(),
             capacity: capacity.max(1),
             overload: overload.map(|p| p.clamped(capacity.max(1))),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        QUEUE_SITE.lock(&self.state)
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -190,7 +136,7 @@ impl RequestQueue {
 
     /// Current number of queued requests.
     pub(crate) fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.lock().items.len()
     }
 
     /// The admission level the overload watermarks currently dictate.
@@ -203,157 +149,58 @@ impl RequestQueue {
         }
     }
 
-    /// The shard a batching key routes to (same key → same shard, in
-    /// every process, so riders always co-locate).
-    fn shard_of(key: (&str, &[Vec<usize>])) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.0.hash(&mut h);
-        key.1.hash(&mut h);
-        (h.finish() as usize) % SHARD_COUNT
-    }
-
-    /// Notifies one parked consumer, if any. The sleeper check happens
-    /// after the caller made work visible; taking the sleep lock around
-    /// the notify closes the race with a consumer that has registered
-    /// but not yet parked.
-    fn wake_one(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = QUEUE_SLEEP_SITE.lock(&self.sleep);
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.wake.notify_one();
-        }
-    }
-
     /// Non-blocking enqueue. A full or overloaded queue pushes back on
     /// the caller, returning the request instead of dropping it.
     pub(crate) fn push(&self, req: Request) -> PushOutcome {
-        if self.closed.load(Ordering::SeqCst) {
-            return PushOutcome::Refused {
-                req,
-                why: PushError::Closed,
-            };
+        let mut st = self.lock();
+        let depth = st.items.len();
+        let refused = if st.closed {
+            Some(PushError::Closed)
+        } else if depth >= self.capacity {
+            Some(PushError::Full)
+        } else if self.overload.is_some_and(|p| depth >= p.reject_depth) {
+            Some(PushError::Overloaded)
+        } else {
+            None
+        };
+        if let Some(why) = refused {
+            return PushOutcome::Refused { req, why };
         }
-        // Reserve a depth slot atomically; `prev` is the pre-admission
-        // depth the watermarks are defined over. Refusals release it.
-        let prev = self.depth.fetch_add(1, Ordering::SeqCst);
-        if prev >= self.capacity {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return PushOutcome::Refused {
-                req,
-                why: PushError::Full,
-            };
+        // Shed level: the queue churns toward later-deadline work.
+        // Admission evicts the queued request with the earliest deadline
+        // — but only when that victim expires strictly sooner than the
+        // incoming request would (deadline-less requests count as never
+        // expiring). With no such victim the request is admitted anyway
+        // and depth grows toward the reject watermark.
+        let shed = if self.overload.is_some_and(|p| depth >= p.shed_depth) {
+            Self::take_shed_victim(&mut st.items, &req)
+        } else {
+            None
+        };
+        st.items.push_back(req);
+        let wake = st.parked > 0;
+        if wake {
+            st.wakeups += 1;
         }
-        let mut shed = None;
-        if let Some(policy) = self.overload {
-            if prev >= policy.reject_depth {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                return PushOutcome::Refused {
-                    req,
-                    why: PushError::Overloaded,
-                };
-            }
-            if prev >= policy.shed_depth {
-                // Shed level: the queue churns toward later-deadline
-                // work. Admission evicts the queued request with the
-                // earliest deadline — but only when that victim expires
-                // strictly sooner than the incoming request would
-                // (deadline-less requests count as never expiring).
-                // With no such victim the request is admitted anyway
-                // and depth grows toward the reject watermark.
-                shed = self.shed_victim(&req);
-                if shed.is_some() {
-                    self.depth.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
+        drop(st);
+        if wake {
+            self.ready.notify_one();
         }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[Self::shard_of(req.batch_key())];
-        let mut items = QUEUE_SHARD_SITE.lock(&shard.items);
-        items.push_back(Queued { seq, req });
-        shard.publish_head(&items);
-        drop(items);
-        self.wake_one();
         PushOutcome::Admitted { shed }
     }
 
-    /// Finds and removes the queued request with the globally earliest
-    /// deadline, if it expires strictly sooner than `incoming`. Shards
-    /// are scanned one lock at a time; losing a race to a concurrent
-    /// dequeue simply means no eviction (the admission proceeds anyway).
-    fn shed_victim(&self, incoming: &Request) -> Option<Request> {
-        let mut best: Option<(usize, u64, Instant)> = None;
-        for (si, shard) in self.shards.iter().enumerate() {
-            let items = QUEUE_SHARD_SITE.lock(&shard.items);
-            for q in items.iter() {
-                if let Some(d) = q.req.deadline {
-                    if best.map(|(_, _, bd)| d < bd).unwrap_or(true) {
-                        best = Some((si, q.seq, d));
-                    }
-                }
-            }
-        }
-        let (si, seq, victim_deadline) = best?;
-        if !incoming
-            .deadline
-            .map(|rd| victim_deadline < rd)
-            .unwrap_or(true)
-        {
+    /// Removes the queued request with the earliest deadline, if it
+    /// expires strictly sooner than `incoming`.
+    fn take_shed_victim(items: &mut VecDeque<Request>, incoming: &Request) -> Option<Request> {
+        let (pos, victim_deadline) = items
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.deadline.map(|d| (i, d)))
+            .min_by_key(|&(_, d)| d)?;
+        if incoming.deadline.is_some_and(|rd| victim_deadline >= rd) {
             return None;
         }
-        let shard = &self.shards[si];
-        let mut items = QUEUE_SHARD_SITE.lock(&shard.items);
-        let pos = items.iter().position(|q| q.seq == seq)?;
-        let victim = items.remove(pos).expect("position in range");
-        shard.publish_head(&items);
-        Some(victim.req)
-    }
-
-    /// One dequeue attempt: pick the shard whose head is globally
-    /// oldest, pop it plus its same-key riders. `None` when every shard
-    /// is empty.
-    fn try_pop(&self, max_batch: usize) -> Option<Vec<Request>> {
-        loop {
-            let mut best: Option<(usize, u64)> = None;
-            for (si, shard) in self.shards.iter().enumerate() {
-                let seq = shard.head_seq.load(Ordering::Acquire);
-                if seq != u64::MAX && best.map(|(_, b)| seq < b).unwrap_or(true) {
-                    best = Some((si, seq));
-                }
-            }
-            let (si, _) = best?;
-            let shard = &self.shards[si];
-            let mut items = QUEUE_SHARD_SITE.lock(&shard.items);
-            let Some(head) = items.pop_front() else {
-                // Another consumer drained this shard between our scan
-                // and the lock; rescan.
-                continue;
-            };
-            let mut batch = vec![head.req];
-            // Collect same-shape riders, preserving FIFO order of the
-            // rest of the shard.
-            let mut i = 0;
-            while i < items.len() && batch.len() < max_batch {
-                let same = {
-                    let (f, s) = batch[0].batch_key();
-                    let cand = &items[i].req;
-                    cand.func == f && cand.shape_sig == s
-                };
-                if same {
-                    // `remove` preserves relative order of survivors.
-                    batch.push(items.remove(i).expect("index in range").req);
-                } else {
-                    i += 1;
-                }
-            }
-            shard.publish_head(&items);
-            drop(items);
-            self.depth.fetch_sub(batch.len(), Ordering::SeqCst);
-            // More work may remain for other idle workers.
-            if self.depth.load(Ordering::SeqCst) > 0 {
-                self.wake_one();
-            }
-            return Some(batch);
-        }
+        items.remove(pos)
     }
 
     /// Blocks until at least one request is queued (or the queue closes),
@@ -362,46 +209,43 @@ impl RequestQueue {
     /// queue is closed *and* drained.
     pub(crate) fn pop_batch(&self, max_batch: usize) -> Option<Vec<Request>> {
         let max_batch = max_batch.max(1);
+        let mut st = self.lock();
         loop {
-            if let Some(batch) = self.try_pop(max_batch) {
+            if let Some(head) = st.items.pop_front() {
+                let mut batch = vec![head];
+                // Collect same-shape riders; `remove` keeps the rest in
+                // FIFO order.
+                let mut i = 0;
+                while i < st.items.len() && batch.len() < max_batch {
+                    if st.items[i].batches_with(&batch[0]) {
+                        batch.push(st.items.remove(i).expect("index in range"));
+                    } else {
+                        i += 1;
+                    }
+                }
                 return Some(batch);
             }
-            let guard = QUEUE_SLEEP_SITE.lock(&self.sleep);
-            // Register as a sleeper *before* the final depth re-check:
-            // a producer that misses us in `wake_one` must have
-            // published its depth before our load, so we retry instead
-            // of parking.
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.depth.load(Ordering::SeqCst) > 0 {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                drop(guard);
-                // The reservation may precede the shard insert by a few
-                // instructions; yield instead of spinning hard.
-                std::thread::yield_now();
-                continue;
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            if st.closed {
                 return None;
             }
-            let guard = self.wake.wait(guard).unwrap_or_else(|e| e.into_inner());
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
+            st.parked += 1;
+            st = self.ready.wait(st).unwrap_or_else(|e| e.into_inner());
+            st.parked -= 1;
         }
     }
 
     /// Closes the queue: new pushes fail, consumers drain what is left
     /// and then see `None`.
     pub(crate) fn close(&self) {
-        let _g = QUEUE_SLEEP_SITE.lock(&self.sleep);
-        self.closed.store(true, Ordering::SeqCst);
-        self.wake.notify_all();
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -587,12 +431,12 @@ mod tests {
             .collect();
 
         let parked = |n: usize| {
-            while q.sleepers.load(Ordering::SeqCst) < n {
+            while q.lock().parked < n {
                 std::thread::sleep(Duration::from_millis(1));
             }
         };
         parked(WORKERS);
-        let before = q.wakeups.load(Ordering::Relaxed);
+        let before = q.lock().wakeups;
 
         let (r, rx) = req("decode", &[2, 8]);
         std::mem::forget(rx);
@@ -604,7 +448,7 @@ mod tests {
         // again the whole submit/consume cycle is over.
         parked(WORKERS);
         assert_eq!(
-            q.wakeups.load(Ordering::Relaxed) - before,
+            q.lock().wakeups - before,
             1,
             "one submit with idle workers must issue exactly one notify_one"
         );

@@ -1,7 +1,8 @@
-//! Satellite: an 8-worker seeded stress run driving mixed decode shapes
-//! through the refactored sharded queue, snapshot plan cache and atomic
-//! tensor storage — asserting the results are bitwise identical to
-//! single-threaded execution and the cache's counting invariant holds.
+//! An 8-worker seeded stress run driving mixed decode shapes through
+//! the single-lock request queue, the single-lock shared plan cache and
+//! atomic tensor storage — asserting the results are bitwise identical
+//! to single-threaded execution and the cache's counting invariant
+//! holds.
 
 use std::collections::HashMap;
 
@@ -86,7 +87,7 @@ fn eight_workers_match_single_threaded_bitwise() {
     let ir = build_decode(&LlamaConfig::tiny()).unwrap();
     let exec = compile(ir.module.clone(), &CompileOptions::default()).unwrap();
 
-    // Mixed shapes; the shard router spreads these across queue shards.
+    // Mixed shapes, so batches and plan-cache keys interleave.
     let shapes: [(i64, i64); 6] = [(1, 1), (1, 2), (2, 1), (2, 3), (1, 4), (2, 2)];
     let mut rng = XorShift64(0x9E3779B97F4A7C15);
     let requests: Vec<Vec<Value>> = (0..48)
@@ -109,7 +110,6 @@ fn eight_workers_match_single_threaded_bitwise() {
         ServeConfig {
             workers: 8,
             queue_capacity: 64,
-            shared_plan_cache: true,
             ..ServeConfig::default()
         },
     );
@@ -140,7 +140,7 @@ fn eight_workers_match_single_threaded_bitwise() {
     assert_eq!(
         pc.hits + pc.misses,
         pc.probes,
-        "batched stat publication must balance at shutdown"
+        "every probe counts as exactly one hit or one miss"
     );
     assert!(pc.hits > 0, "repeated shapes must hit the shared cache");
 }

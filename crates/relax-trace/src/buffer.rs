@@ -16,6 +16,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use crate::event::{EventKind, SpanId, TraceEvent};
 
@@ -32,9 +33,11 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Allocates a fresh nonzero span id.
-pub(crate) fn next_span_id() -> SpanId {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed) + 1
+/// Allocates a fresh span id in recording epoch `epoch` (nonzero, as
+/// epochs start at 1).
+pub(crate) fn next_span_id(epoch: u64) -> SpanId {
+    let low = NEXT_ID.fetch_add(1, Ordering::Relaxed) & ((1 << crate::EPOCH_SHIFT) - 1);
+    (epoch << crate::EPOCH_SHIFT) | low
 }
 
 /// Stores `event` (stamping its global sequence number), or counts a
@@ -75,9 +78,57 @@ pub fn dropped() -> u64 {
 /// Drains every shard into a single [`Trace`] ordered by emission
 /// sequence, and resets the drop counter.
 pub fn take() -> Trace {
+    let mut events = drain();
+    events.sort_by_key(|e| e.seq);
+    Trace {
+        events,
+        dropped: DROPPED.swap(0, Ordering::Relaxed),
+    }
+}
+
+/// Empties every shard, returning the events unordered.
+fn drain() -> Vec<TraceEvent> {
     let mut events = Vec::new();
     for shard in &SHARDS {
         events.append(&mut *shard.lock().unwrap_or_else(|e| e.into_inner()));
+    }
+    events
+}
+
+/// Drains the events of recording epoch `epoch`, dropping other epochs'
+/// leftovers. While a span or async span of the epoch is open, drains
+/// again after a short sleep, for up to `wait`: closes are stored after
+/// recording stops, so spans other threads opened during the epoch end
+/// up whole.
+pub(crate) fn take_epoch(epoch: u64, wait: Duration) -> Trace {
+    let deadline = Instant::now() + wait;
+    let mut events = Vec::new();
+    // Opens minus closes per span id, in whatever order the shards
+    // drain; a span is open while its count is nonzero.
+    let mut open: HashMap<SpanId, i32> = HashMap::new();
+    loop {
+        let start = events.len();
+        events.extend(
+            drain()
+                .into_iter()
+                .filter(|e| crate::epoch_of(e.id) == epoch),
+        );
+        for e in &events[start..] {
+            let delta = match e.kind {
+                EventKind::Begin | EventKind::AsyncBegin => 1,
+                EventKind::End | EventKind::AsyncEnd => -1,
+                EventKind::Instant => continue,
+            };
+            let count = open.entry(e.id).or_default();
+            *count += delta;
+            if *count == 0 {
+                open.remove(&e.id);
+            }
+        }
+        if open.is_empty() || Instant::now() >= deadline {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(200));
     }
     events.sort_by_key(|e| e.seq);
     Trace {

@@ -33,8 +33,18 @@
 //! every emission function is a single relaxed atomic load (after a
 //! one-time env check): no id is allocated, no name is formatted — name
 //! and payload arguments are closures evaluated only when recording —
-//! and nothing is pushed. Set `RELAX_TRACE=1` in the environment or
-//! call [`set_enabled`]`(true)` to record.
+//! and no event is buffered; a span only pushes a `0` on its thread's
+//! parent stack and pops it on close. Set `RELAX_TRACE=1` in the
+//! environment or call [`set_enabled`]`(true)` to record.
+//!
+//! # Ownership
+//!
+//! Every switch-on starts a recording *epoch*, and span ids carry it. An
+//! event is recorded in the live epoch only if its parent (explicit, or
+//! the innermost open span on its thread) is recorded in the same epoch
+//! or it has none; so a [`Capture`] holds exactly the spans that opened
+//! while it was live — including their closes, which it waits for — and
+//! never a child of work that began untraced or in an earlier capture.
 //!
 //! ```
 //! let _capture = relax_trace::Capture::begin();
@@ -62,7 +72,7 @@ mod flame;
 mod lock;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -75,48 +85,85 @@ pub use flame::flame_summary;
 pub use lock::{lock_wait_stats, reset_lock_wait_stats, LockSite, LockWaitStat};
 
 // ---------------------------------------------------------------------
-// The enable switch.
+// The enable switch: the recording epoch.
 // ---------------------------------------------------------------------
 
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
+/// [`LIVE`] value while nothing records.
+const OFF: u64 = 0;
+/// [`LIVE`] value until the first call consults `RELAX_TRACE`.
+const UNINIT: u64 = u64::MAX;
 
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
+/// The recording epoch, or [`OFF`]. Every switch-on (a [`Capture`], or
+/// [`set_enabled`] from off) starts a fresh epoch, and every recorded
+/// event carries the epoch of the work it belongs to in its id (see
+/// [`epoch_of`]), so one recording never collects another's events.
+static LIVE: AtomicU64 = AtomicU64::new(UNINIT);
+static LAST_EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// Span ids keep the epoch above this bit and a per-process counter
+/// below it. Ids stay below 2^53, exact in the Chrome JSON, for 2^21
+/// epochs.
+const EPOCH_SHIFT: u32 = 32;
+
+fn new_epoch() -> u64 {
+    LAST_EPOCH.fetch_add(1, Ordering::Relaxed) + 1
+}
+
+/// The recording epoch a span id was allocated in.
+pub(crate) fn epoch_of(id: SpanId) -> u64 {
+    id >> EPOCH_SHIFT
+}
 
 /// One-time cold path: resolve the initial state from `RELAX_TRACE`.
 #[cold]
-fn init_state() -> bool {
+fn init_state() -> u64 {
     let on = matches!(
         std::env::var("RELAX_TRACE").ok().as_deref(),
         Some("1") | Some("true") | Some("on")
     );
-    // Racing initializers agree (the env cannot change between them),
-    // and an explicit `set_enabled` always wins via a plain store.
-    let _ = STATE.compare_exchange(
-        STATE_UNINIT,
-        if on { STATE_ON } else { STATE_OFF },
+    // Racing initializers agree on on/off (the env cannot change between
+    // them), and an explicit `set_enabled` always wins via a plain store.
+    let _ = LIVE.compare_exchange(
+        UNINIT,
+        if on { new_epoch() } else { OFF },
         Ordering::Relaxed,
         Ordering::Relaxed,
     );
-    STATE.load(Ordering::Relaxed) == STATE_ON
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// The recording epoch, or [`OFF`].
+#[inline]
+fn live_epoch() -> u64 {
+    match LIVE.load(Ordering::Relaxed) {
+        UNINIT => init_state(),
+        epoch => epoch,
+    }
 }
 
 /// `true` when tracing records events. The hot path is a single relaxed
 /// atomic load; the first call per process consults `RELAX_TRACE`.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_state(),
-    }
+    live_epoch() != OFF
 }
 
 /// Programmatically switches tracing on or off, overriding
-/// `RELAX_TRACE`.
+/// `RELAX_TRACE`. Switching on from off starts a fresh epoch.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    if !on {
+        LIVE.store(OFF, Ordering::Relaxed);
+    } else if live_epoch() == OFF {
+        let _ = LIVE.compare_exchange(OFF, new_epoch(), Ordering::Relaxed, Ordering::Relaxed);
+    }
+}
+
+/// The epoch a new event records in, or `None` when it is not recorded:
+/// tracing is off, or its parent belongs to another epoch — work an
+/// earlier recording started is not this recording's.
+fn owning_epoch(parent: Option<SpanId>) -> Option<u64> {
+    let epoch = live_epoch();
+    (epoch != OFF && parent.is_none_or(|p| epoch_of(p) == epoch)).then_some(epoch)
 }
 
 // ---------------------------------------------------------------------
@@ -150,8 +197,13 @@ fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
+/// The innermost open span on this thread: `Some(0)` inside a span
+/// that is not recorded, whose children then stay unrecorded too.
 fn current_parent() -> Option<SpanId> {
-    PARENTS.with(|p| p.borrow().last().copied())
+    PARENTS
+        .try_with(|p| p.borrow().last().copied())
+        .ok()
+        .flatten()
 }
 
 // ---------------------------------------------------------------------
@@ -195,15 +247,15 @@ impl SpanGuard {
 
     fn close(&mut self, payload: Payload) {
         self.closed = true;
-        if self.id == 0 {
-            return;
-        }
-        PARENTS.with(|p| {
+        let _ = PARENTS.try_with(|p| {
             let mut stack = p.borrow_mut();
             if stack.last() == Some(&self.id) {
                 stack.pop();
             }
         });
+        if self.id == 0 {
+            return;
+        }
         let name = self.name.take().unwrap_or_default();
         // Close events bypass the buffer's capacity check (this span's
         // Begin was stored, so its End always fits the balance bound);
@@ -250,38 +302,37 @@ pub fn span_under(
     parent: Option<SpanId>,
     name: impl FnOnce() -> String,
 ) -> SpanGuard {
-    let start = Instant::now();
-    if !enabled() {
-        return SpanGuard {
-            start,
-            id: 0,
-            cat,
-            name: None,
-            closed: false,
-        };
-    }
-    let name = name();
-    let parent = parent.filter(|&p| p != 0).or_else(current_parent);
-    let id = buffer::next_span_id();
-    if !emit(EventKind::Begin, id, parent, cat, name.clone(), Payload::None) {
-        // Buffer full: the span stays unrecorded so the trace keeps its
-        // Begin/End balance.
-        return SpanGuard {
-            start,
-            id: 0,
-            cat,
-            name: None,
-            closed: false,
-        };
-    }
-    PARENTS.with(|p| p.borrow_mut().push(id));
-    SpanGuard {
-        start,
-        id,
+    let mut guard = SpanGuard {
+        start: Instant::now(),
+        id: 0,
         cat,
-        name: Some(name),
+        name: None,
         closed: false,
+    };
+    if enabled() {
+        let parent = parent.filter(|&p| p != 0).or_else(current_parent);
+        if let Some(epoch) = owning_epoch(parent) {
+            let name = name();
+            let id = buffer::next_span_id(epoch);
+            // A full buffer leaves the span unrecorded so the trace keeps
+            // its Begin/End balance.
+            if emit(
+                EventKind::Begin,
+                id,
+                parent,
+                cat,
+                name.clone(),
+                Payload::None,
+            ) {
+                guard.id = id;
+                guard.name = Some(name);
+            }
+        }
     }
+    // Unrecorded spans go on the stack too (as 0), so work nested in
+    // them is never mistaken for a root.
+    let _ = PARENTS.try_with(|p| p.borrow_mut().push(guard.id));
+    guard
 }
 
 /// Records a point event (no duration). Name and payload are evaluated
@@ -294,8 +345,12 @@ pub fn instant(
     if !enabled() {
         return;
     }
-    let id = buffer::next_span_id();
-    emit(EventKind::Instant, id, current_parent(), cat, name(), payload());
+    let parent = current_parent();
+    let Some(epoch) = owning_epoch(parent) else {
+        return;
+    };
+    let id = buffer::next_span_id(epoch);
+    emit(EventKind::Instant, id, parent, cat, name(), payload());
 }
 
 /// Opens an asynchronous span that may close on another thread. Returns
@@ -311,11 +366,15 @@ pub fn async_begin(
     if !enabled() {
         return 0;
     }
-    let id = buffer::next_span_id();
+    let parent = current_parent();
+    let Some(epoch) = owning_epoch(parent) else {
+        return 0;
+    };
+    let id = buffer::next_span_id(epoch);
     if emit(
         EventKind::AsyncBegin,
         id,
-        current_parent(),
+        parent,
         cat,
         name.to_string(),
         payload(),
@@ -371,12 +430,18 @@ pub fn shape_sig(shapes: &[Vec<usize>]) -> String {
 
 static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
 
-/// An exclusive recording session over the global buffer: begins by
-/// clearing the buffer and enabling tracing, ends by draining it and
-/// restoring the previous enable state. Sessions serialize on a global
-/// lock, so concurrent tests (or a bench and a smoke run) cannot mix
-/// their events.
+/// How long [`Capture::finish`] waits for spans its epoch opened on other
+/// threads to close.
+const CLOSE_WAIT: Duration = Duration::from_secs(1);
+
+/// An exclusive recording session over the global buffer. It records
+/// only the work it owns (see the crate docs' *Ownership*): events that
+/// open while it is live, and the closes of the spans among them — not
+/// events on behalf of a span that opened before it (or in another
+/// capture). Sessions serialize on a global lock, so concurrent tests
+/// (or a bench and a smoke run) cannot mix their events.
 pub struct Capture {
+    epoch: u64,
     prev: bool,
     lock: Option<MutexGuard<'static, ()>>,
     finished: bool,
@@ -384,27 +449,31 @@ pub struct Capture {
 
 impl Capture {
     /// Starts an exclusive capture (blocking until any other capture
-    /// finishes), clears leftover events and enables tracing.
+    /// finishes), clears leftover events and starts a fresh epoch.
     pub fn begin() -> Capture {
         let lock = CAPTURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = enabled();
         clear();
-        set_enabled(true);
+        let epoch = new_epoch();
+        LIVE.store(epoch, Ordering::Relaxed);
         Capture {
+            epoch,
             prev,
             lock: Some(lock),
             finished: false,
         }
     }
 
-    /// Stops recording, restores the previous enable state and drains
-    /// the captured [`Trace`]. Make sure emitting threads are quiescent
-    /// (workers joined) first, or their half-open spans will fail
-    /// validation.
+    /// Stops recording, drains this capture's [`Trace`] and restores the
+    /// previous enable state. A span the capture opened on some thread
+    /// and that is still open is waited for, up to one second, so other
+    /// threads' short spans end up whole; join emitting threads first
+    /// for anything longer, or its half-open span fails validation.
     pub fn finish(mut self) -> Trace {
-        set_enabled(self.prev);
+        LIVE.store(OFF, Ordering::Relaxed);
         self.finished = true;
-        let trace = take();
+        let trace = buffer::take_epoch(self.epoch, CLOSE_WAIT);
+        set_enabled(self.prev);
         drop(self.lock.take());
         trace
     }
@@ -413,6 +482,7 @@ impl Capture {
 impl Drop for Capture {
     fn drop(&mut self) {
         if !self.finished {
+            LIVE.store(OFF, Ordering::Relaxed);
             set_enabled(self.prev);
             clear();
         }

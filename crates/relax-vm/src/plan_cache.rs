@@ -5,35 +5,20 @@
 //! subsequent launch at the same shapes reuses the cached
 //! [`KernelPlan`]. Functions the planner cannot express are cached as
 //! [`CachedPlan::Unplannable`] so the interpreter fallback does not
-//! recompile (and re-fail) per launch. Eviction is least-recently-used via
-//! a monotonic touch tick.
+//! recompile (and re-fail) per launch.
 //!
-//! The cache is a [`SharedPlanCache`]: a cheap `Clone` handle over sharded
-//! copy-on-write state, so a pool of serving workers can share one cache —
-//! one worker's compile warms every other worker. Each shard publishes an
-//! immutable `Arc<HashMap>` snapshot plus a version counter; mutation
-//! replaces the snapshot and bumps the version. A VM probes through a
-//! [`PlanCacheSession`]: while the shard version is unchanged the probe
-//! reads the session's cached snapshot with **zero locks and zero shared
-//! atomics written** — recency is an atomic store inside the (shared)
-//! entry, the LRU tick is drawn from a session-local batch, and hit/miss
-//! counters accumulate locally and publish in batches. The direct
-//! [`SharedPlanCache::lookup`] keeps the old one-read-lock-per-probe
-//! behavior for callers without a session.
-//!
-//! Batched-tick LRU semantics: a session reserves [`TICK_BATCH`] ticks
-//! from the global counter at once, so "least recently used" is exact
-//! within a session and approximate (within one batch window) across
-//! sessions — an entry last touched by a long-idle worker can look up to
-//! `TICK_BATCH` probes more recent than global order. Stats follow the
-//! same batching, flushed on session flush (the VM flushes after every
-//! program run), so `hits + misses == probes` holds at every flush point.
+//! The cache is a [`SharedPlanCache`]: a cheap `Clone` handle over one
+//! `Mutex`-guarded map, so a pool of serving workers can share one cache —
+//! one worker's compile warms every other worker. The map is keyed by
+//! function name, then by shapes, so a probe borrows `(&str,
+//! &[Vec<usize>])` and allocates nothing. Every probe and insert takes
+//! the one lock (instrumented as the `vm.plan_cache` lock site) and
+//! stamps the entry from one tick counter, so eviction is exact
+//! least-recently-used across every VM sharing the cache, and the
+//! counters satisfy `hits + misses == probes` at every instant.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 
 use relax_tir::KernelPlan;
 use relax_trace::LockSite;
@@ -41,17 +26,7 @@ use relax_trace::LockSite;
 /// Default number of `(function, shapes)` specializations kept.
 pub(crate) const DEFAULT_CAPACITY: usize = 64;
 
-/// Number of independently versioned shards. Shard routing hashes the key
-/// with a deterministic hasher, so the same key always lands on the same
-/// shard in every VM sharing the cache.
-const SHARD_COUNT: usize = 8;
-
-/// Ticks a session reserves from the global LRU counter per refill, and
-/// the stat-publication batch size.
-const TICK_BATCH: u64 = 64;
-
-static SHARD_READ_SITE: LockSite = LockSite::new("vm.plan_cache.shard_read");
-static SHARD_WRITE_SITE: LockSite = LockSite::new("vm.plan_cache.shard_write");
+static CACHE_SITE: LockSite = LockSite::new("vm.plan_cache");
 
 /// A cache entry: a compiled plan, or a negative result.
 #[derive(Debug, Clone)]
@@ -64,107 +39,16 @@ pub enum CachedPlan {
     Unplannable,
 }
 
-/// Owned cache key: `(function name, concrete argument dims)`.
-#[derive(Debug, Clone)]
-struct PlanKey {
-    func: String,
-    shapes: Vec<Vec<usize>>,
-}
-
-/// Borrowed view of a cache key, so lookups can probe the map with
-/// `(&str, &[Vec<usize>])` without allocating an owned `PlanKey`.
-trait KeyView {
-    fn func(&self) -> &str;
-    fn shapes(&self) -> &[Vec<usize>];
-}
-
-impl KeyView for PlanKey {
-    fn func(&self) -> &str {
-        &self.func
-    }
-    fn shapes(&self) -> &[Vec<usize>] {
-        &self.shapes
-    }
-}
-
-impl KeyView for (&str, &[Vec<usize>]) {
-    fn func(&self) -> &str {
-        self.0
-    }
-    fn shapes(&self) -> &[Vec<usize>] {
-        self.1
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.func().hash(state);
-        self.shapes().hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.func() == other.func() && self.shapes() == other.shapes()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-// Route the owned key's Hash/Eq through the view so owned and borrowed
-// probes are guaranteed to agree.
-impl Hash for PlanKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn KeyView).hash(state)
-    }
-}
-
-impl PartialEq for PlanKey {
-    fn eq(&self, other: &Self) -> bool {
-        (self as &dyn KeyView) == (other as &dyn KeyView)
-    }
-}
-
-impl Eq for PlanKey {}
-
-impl<'a> Borrow<dyn KeyView + 'a> for PlanKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-/// An entry plus its last-touched tick. Entries are `Arc`-shared between
-/// snapshots, so a recency touch through any (possibly stale) snapshot is
-/// seen by the evictor.
-#[derive(Debug)]
-struct Entry {
-    touched: AtomicU64,
-    plan: CachedPlan,
-}
-
-type ShardMap = Arc<HashMap<PlanKey, Arc<Entry>>>;
-
-/// One shard: an immutable published snapshot plus a version counter.
-/// Mutators build a new map, publish it under the write lock, and bump
-/// `version` (Release) so sessions detect staleness with one Acquire load.
-#[derive(Debug)]
-struct Shard {
-    version: AtomicU64,
-    map: RwLock<ShardMap>,
-}
-
 /// Point-in-time counters of a [`SharedPlanCache`]. When the cache is
 /// shared, these aggregate over every VM using it (per-VM counts live in
-/// [`crate::Telemetry`]). Session-batched counts appear here at flush
-/// points (the VM flushes after every program run), where
-/// `hits + misses == probes` always holds.
+/// [`crate::Telemetry`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups that found a cached plan.
     pub hits: u64,
     /// Lookups that found nothing (each triggers one compilation).
     pub misses: u64,
-    /// Total counted lookups (`hits + misses` at every flush point).
+    /// Total counted lookups (always `hits + misses`).
     pub probes: u64,
     /// Entries evicted, least recently used first.
     pub evictions: u64,
@@ -186,16 +70,58 @@ impl PlanCacheStats {
     }
 }
 
+/// A cached plan plus the tick of its last touch.
 #[derive(Debug)]
-struct CacheInner {
-    shards: Vec<Shard>,
-    tick: AtomicU64,
-    len: AtomicUsize,
-    capacity: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    probes: AtomicU64,
-    evictions: AtomicU64,
+struct Entry {
+    touched: u64,
+    plan: CachedPlan,
+}
+
+/// Everything behind the lock.
+#[derive(Debug, Default)]
+struct Inner {
+    /// Function name, then concrete argument dims.
+    map: HashMap<String, HashMap<Vec<Vec<usize>>, Entry>>,
+    /// Last tick handed out; every probe and insert takes the next one.
+    tick: u64,
+    capacity: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl Inner {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    fn len(&self) -> usize {
+        self.map.values().map(HashMap::len).sum()
+    }
+
+    /// Evicts least-recently-touched entries until `len <= capacity`.
+    /// Returns how many were evicted.
+    fn evict_to_capacity(&mut self) -> u64 {
+        let mut evicted = 0;
+        while self.len() > self.capacity {
+            let oldest = self
+                .map
+                .iter()
+                .flat_map(|(func, shapes)| shapes.iter().map(move |(s, e)| (e.touched, func, s)))
+                .min_by_key(|&(touched, _, _)| touched)
+                .map(|(_, func, shapes)| (func.clone(), shapes.clone()));
+            let Some((func, shapes)) = oldest else { break };
+            let by_shape = self.map.get_mut(&func).expect("oldest key is cached");
+            by_shape.remove(&shapes);
+            if by_shape.is_empty() {
+                self.map.remove(&func);
+            }
+            self.evictions += 1;
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 /// A shape-keyed LRU plan cache that any number of VMs can share.
@@ -206,21 +132,7 @@ struct CacheInner {
 /// cache; [`crate::Vm::from_parts`] accepts a shared one.
 #[derive(Debug, Clone)]
 pub struct SharedPlanCache {
-    inner: Arc<CacheInner>,
-}
-
-/// Per-VM probe state: cached shard snapshots, a local LRU-tick batch and
-/// batched hit/miss counters. Owned by one thread (the VM), never shared.
-#[derive(Debug, Default)]
-pub(crate) struct PlanCacheSession {
-    /// Per shard: the snapshot and the version it was taken at.
-    snapshots: Vec<Option<(u64, ShardMap)>>,
-    /// Next tick to hand out, and how many remain before re-reserving.
-    tick_next: u64,
-    ticks_left: u64,
-    /// Counts not yet published to the shared cache.
-    pending_hits: u64,
-    pending_misses: u64,
+    inner: Arc<Mutex<Inner>>,
 }
 
 impl SharedPlanCache {
@@ -228,22 +140,15 @@ impl SharedPlanCache {
     /// (`0` disables caching entirely).
     pub fn new(capacity: usize) -> Self {
         SharedPlanCache {
-            inner: Arc::new(CacheInner {
-                shards: (0..SHARD_COUNT)
-                    .map(|_| Shard {
-                        version: AtomicU64::new(0),
-                        map: RwLock::new(Arc::new(HashMap::new())),
-                    })
-                    .collect(),
-                tick: AtomicU64::new(0),
-                len: AtomicUsize::new(0),
-                capacity: AtomicUsize::new(capacity),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                probes: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-            }),
+            inner: Arc::new(Mutex::new(Inner {
+                capacity,
+                ..Inner::default()
+            })),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        CACHE_SITE.lock(&self.inner)
     }
 
     /// `true` if this handle and `other` share the same underlying cache.
@@ -258,12 +163,12 @@ impl SharedPlanCache {
 
     /// Maximum number of entries kept.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity.load(Ordering::Relaxed)
+        self.lock().capacity
     }
 
     /// Number of plans (and negative entries) currently cached.
     pub fn len(&self) -> usize {
-        self.inner.len.load(Ordering::Relaxed)
+        self.lock().len()
     }
 
     /// `true` when no entries are cached.
@@ -271,228 +176,85 @@ impl SharedPlanCache {
         self.len() == 0
     }
 
-    /// Aggregate counters (across every VM sharing the cache). Counts a
-    /// session has not yet flushed are not included; the VM flushes after
-    /// every program run.
+    /// Aggregate counters (across every VM sharing the cache).
     pub fn stats(&self) -> PlanCacheStats {
+        let inner = self.lock();
         PlanCacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            probes: self.inner.probes.load(Ordering::Relaxed),
-            evictions: self.inner.evictions.load(Ordering::Relaxed),
-            len: self.len(),
-            capacity: self.capacity(),
+            hits: inner.hits,
+            misses: inner.misses,
+            probes: inner.hits + inner.misses,
+            evictions: inner.evictions,
+            len: inner.len(),
+            capacity: inner.capacity,
         }
     }
 
     /// Changes the capacity, evicting least-recently-used entries if the
     /// cache is now over budget. Returns how many entries were evicted.
     pub fn set_capacity(&self, capacity: usize) -> u64 {
-        self.inner.capacity.store(capacity, Ordering::Relaxed);
-        let mut evicted = 0;
-        while self.len() > capacity && self.evict_lru() {
-            evicted += 1;
-        }
-        evicted
+        let mut inner = self.lock();
+        inner.capacity = capacity;
+        inner.evict_to_capacity()
     }
 
-    /// A fresh probe session for one VM.
-    pub(crate) fn session(&self) -> PlanCacheSession {
-        PlanCacheSession {
-            snapshots: (0..SHARD_COUNT).map(|_| None).collect(),
-            ..PlanCacheSession::default()
-        }
-    }
-
-    /// Publishes a session's batched hit/miss counts to the shared
-    /// counters. After this, `stats()` satisfies `hits + misses == probes`
-    /// with respect to everything this session counted.
-    pub(crate) fn flush_session(&self, sess: &mut PlanCacheSession) {
-        let (h, m) = (sess.pending_hits, sess.pending_misses);
-        if h + m == 0 {
-            return;
-        }
-        sess.pending_hits = 0;
-        sess.pending_misses = 0;
-        self.inner.hits.fetch_add(h, Ordering::Relaxed);
-        self.inner.misses.fetch_add(m, Ordering::Relaxed);
-        self.inner.probes.fetch_add(h + m, Ordering::Relaxed);
-    }
-
-    /// The shard index for a key. Uses the deterministic `DefaultHasher`
-    /// seed (not the per-map random state) so every handle agrees.
-    fn shard_of(key: &dyn KeyView) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % SHARD_COUNT
-    }
-
-    /// Session lookup: the hot path of `CallTir`. While the shard version
-    /// is unchanged this takes **no lock and writes no shared atomic** —
-    /// it probes the session's snapshot, stamps recency from the session's
-    /// tick batch, and counts locally. A changed version refreshes the
-    /// snapshot under one (instrumented) shard read lock.
-    pub(crate) fn lookup_with(
-        &self,
-        sess: &mut PlanCacheSession,
-        func: &str,
-        shapes: &[Vec<usize>],
-    ) -> Option<CachedPlan> {
-        if !self.enabled() {
-            return None;
-        }
-        let probe: &dyn KeyView = &(func, shapes);
-        let si = Self::shard_of(probe);
-        let shard = &self.inner.shards[si];
-        let version = shard.version.load(Ordering::Acquire);
-        let slot = &mut sess.snapshots[si];
-        let stale = slot.as_ref().map(|(v, _)| *v != version).unwrap_or(true);
-        if stale {
-            let map = Arc::clone(&SHARD_READ_SITE.read(&shard.map));
-            *slot = Some((version, map));
-        }
-        let map = &slot.as_ref().expect("snapshot just refreshed").1;
-
-        if sess.ticks_left == 0 {
-            sess.tick_next = self.inner.tick.fetch_add(TICK_BATCH, Ordering::Relaxed) + 1;
-            sess.ticks_left = TICK_BATCH;
-        }
-        let tick = sess.tick_next;
-        sess.tick_next += 1;
-        sess.ticks_left -= 1;
-
-        let found = map.get(probe).map(|entry| {
-            entry.touched.store(tick, Ordering::Relaxed);
-            entry.plan.clone()
-        });
-        if found.is_some() {
-            sess.pending_hits += 1;
-        } else {
-            sess.pending_misses += 1;
-        }
-        if sess.pending_hits + sess.pending_misses >= TICK_BATCH {
-            self.flush_session(sess);
-        }
-        self.trace_probe(func, shapes, found.is_some());
-        found
-    }
-
-    /// Looks up `(func, shapes)` without a session: one shard read lock
-    /// per probe, counters published immediately. Kept for callers that
-    /// probe rarely (tests, tools); the VM hot path probes through its
-    /// `PlanCacheSession` instead.
+    /// Looks up `(func, shapes)`, marking a found entry most recently
+    /// used. A disabled cache (capacity 0) finds nothing and counts
+    /// nothing.
     pub fn lookup(&self, func: &str, shapes: &[Vec<usize>]) -> Option<CachedPlan> {
-        if !self.enabled() {
-            return None;
-        }
-        let probe: &dyn KeyView = &(func, shapes);
-        let tick = self.inner.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let map = Arc::clone(&SHARD_READ_SITE.read(&self.inner.shards[Self::shard_of(probe)].map));
-        let found = map.get(probe).map(|entry| {
-            entry.touched.store(tick, Ordering::Relaxed);
-            entry.plan.clone()
-        });
-        if found.is_some() {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.probes.fetch_add(1, Ordering::Relaxed);
-        self.trace_probe(func, shapes, found.is_some());
-        found
-    }
-
-    fn trace_probe(&self, func: &str, shapes: &[Vec<usize>], hit: bool) {
+        let found = {
+            let mut inner = self.lock();
+            if inner.capacity == 0 {
+                return None;
+            }
+            let tick = inner.next_tick();
+            let found = inner
+                .map
+                .get_mut(func)
+                .and_then(|by_shape| by_shape.get_mut(shapes))
+                .map(|entry| {
+                    entry.touched = tick;
+                    entry.plan.clone()
+                });
+            if found.is_some() {
+                inner.hits += 1;
+            } else {
+                inner.misses += 1;
+            }
+            found
+        };
         relax_trace::instant(
             "vm",
             || format!("plan_cache:{func}"),
             || relax_trace::Payload::Kernel {
                 kernel: func.to_string(),
                 shapes: relax_trace::shape_sig(shapes),
-                cache: Some(if hit {
+                cache: Some(if found.is_some() {
                     relax_trace::CacheOutcome::Hit
                 } else {
                     relax_trace::CacheOutcome::Miss
                 }),
             },
         );
+        found
     }
 
-    /// Inserts a freshly compiled (or refused) plan, evicting
-    /// least-recently-used entries once the cache is over capacity.
-    /// Replacing a key that is already cached is *not* growth and evicts
-    /// nothing. Returns how many entries were evicted.
-    ///
-    /// Mutation is copy-on-write: a new snapshot map is published and the
-    /// shard version bumped, so sessions refresh on their next probe.
+    /// Inserts a freshly compiled (or refused) plan as the most recently
+    /// used entry, evicting least-recently-used entries once the cache is
+    /// over capacity. Replacing a key that is already cached is *not*
+    /// growth and evicts nothing. Returns how many entries were evicted.
     pub fn insert(&self, func: &str, shapes: &[Vec<usize>], plan: CachedPlan) -> u64 {
-        if !self.enabled() {
+        let mut inner = self.lock();
+        if inner.capacity == 0 {
             return 0;
         }
-        let tick = self.inner.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let probe: &dyn KeyView = &(func, shapes);
-        let shard = &self.inner.shards[Self::shard_of(probe)];
-        {
-            let mut guard = SHARD_WRITE_SITE.write(&shard.map);
-            let mut map: HashMap<PlanKey, Arc<Entry>> = (**guard).clone();
-            let replacing = map
-                .insert(
-                    PlanKey {
-                        func: func.to_string(),
-                        shapes: shapes.to_vec(),
-                    },
-                    Arc::new(Entry {
-                        touched: AtomicU64::new(tick),
-                        plan,
-                    }),
-                )
-                .is_some();
-            *guard = Arc::new(map);
-            shard.version.fetch_add(1, Ordering::Release);
-            if replacing {
-                // In-place replacement: same key, no growth, no eviction.
-                return 0;
-            }
-            self.inner.len.fetch_add(1, Ordering::Relaxed);
+        let touched = inner.next_tick();
+        let by_shape = inner.map.entry(func.to_string()).or_default();
+        if let Some(entry) = by_shape.get_mut(shapes) {
+            *entry = Entry { touched, plan };
+            return 0;
         }
-        let mut evicted = 0;
-        while self.len() > self.capacity() && self.evict_lru() {
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Evicts the globally least-recently-touched entry. `false` if the
-    /// cache was empty.
-    fn evict_lru(&self) -> bool {
-        // Find the globally oldest entry from the published snapshots.
-        let mut oldest: Option<(usize, u64, PlanKey)> = None;
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            let map = Arc::clone(&SHARD_READ_SITE.read(&shard.map));
-            for (key, entry) in map.iter() {
-                let t = entry.touched.load(Ordering::Relaxed);
-                if oldest.as_ref().map(|(_, ot, _)| t < *ot).unwrap_or(true) {
-                    oldest = Some((i, t, key.clone()));
-                }
-            }
-        }
-        let Some((i, _, key)) = oldest else {
-            return false;
-        };
-        let shard = &self.inner.shards[i];
-        let mut guard = SHARD_WRITE_SITE.write(&shard.map);
-        let mut map: HashMap<PlanKey, Arc<Entry>> = (**guard).clone();
-        if map.remove(&key as &dyn KeyView).is_some() {
-            *guard = Arc::new(map);
-            shard.version.fetch_add(1, Ordering::Release);
-            self.inner.len.fetch_sub(1, Ordering::Relaxed);
-            self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            // Lost a race with another evictor; report progress anyway so
-            // callers re-check the length.
-            true
-        }
+        by_shape.insert(shapes.to_vec(), Entry { touched, plan });
+        inner.evict_to_capacity()
     }
 }
 
@@ -540,6 +302,8 @@ mod tests {
         assert_eq!(evicted, 3);
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().evictions, 3);
+        // The survivor is the most recently inserted.
+        assert!(c.lookup("d", &[vec![2, 2]]).is_some());
     }
 
     /// Regression: replacing an existing key while at capacity must not
@@ -566,6 +330,23 @@ mod tests {
         assert!(c.lookup("b", &[vec![8]]).is_some());
     }
 
+    /// Same function, different shapes, are distinct entries; evicting
+    /// the last shape of a function forgets the function.
+    #[test]
+    fn shapes_of_one_function_are_separate_entries() {
+        let c = SharedPlanCache::new(2);
+        c.insert("f", &[vec![1]], CachedPlan::Unplannable);
+        c.insert("f", &[vec![2]], CachedPlan::Unplannable);
+        assert_eq!(c.len(), 2);
+        assert!(c.lookup("f", &[vec![1]]).is_some());
+        c.insert("g", &[vec![1]], CachedPlan::Unplannable); // evicts f[2]
+        assert!(c.lookup("f", &[vec![2]]).is_none());
+        c.insert("h", &[vec![1]], CachedPlan::Unplannable); // evicts f[1]
+        assert!(c.lookup("f", &[vec![1]]).is_none());
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.stats().evictions, 2);
+    }
+
     #[test]
     fn clones_share_entries_and_counters() {
         let a = SharedPlanCache::new(4);
@@ -573,10 +354,11 @@ mod tests {
         assert!(a.shares_with(&b));
         a.insert("f", &[vec![2]], CachedPlan::Unplannable);
         assert!(b.lookup("f", &[vec![2]]).is_some());
+        assert!(b.lookup("g", &[vec![2]]).is_none());
         let s = a.stats();
-        assert_eq!(s.hits, 1);
+        assert_eq!((s.hits, s.misses, s.probes), (1, 1, 2));
         assert_eq!(s.len, 1);
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12 || s.misses == 0);
+        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -598,54 +380,7 @@ mod tests {
         });
         assert!(c.len() <= 8);
         let s = c.stats();
-        assert!(s.hits + s.misses >= 800);
+        assert_eq!(s.hits + s.misses, 800);
         assert_eq!(s.probes, s.hits + s.misses);
-    }
-
-    #[test]
-    fn session_probe_is_lock_free_on_unchanged_version_and_flushes_batched() {
-        let c = SharedPlanCache::new(8);
-        c.insert("f", &[vec![2]], CachedPlan::Unplannable);
-        let mut sess = c.session();
-        // First probe refreshes the snapshot; the rest ride it.
-        for _ in 0..10 {
-            assert!(c.lookup_with(&mut sess, "f", &[vec![2]]).is_some());
-        }
-        assert!(c.lookup_with(&mut sess, "g", &[vec![2]]).is_none());
-        // Counts are still pending (batch not reached, no flush yet).
-        assert_eq!(c.stats().hits, 0);
-        c.flush_session(&mut sess);
-        let s = c.stats();
-        assert_eq!(s.hits, 10);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.probes, 11);
-        // Flushing twice publishes nothing extra.
-        c.flush_session(&mut sess);
-        assert_eq!(c.stats().probes, 11);
-    }
-
-    #[test]
-    fn session_sees_inserts_via_version_bump() {
-        let c = SharedPlanCache::new(8);
-        let mut sess = c.session();
-        assert!(c.lookup_with(&mut sess, "f", &[vec![3]]).is_none());
-        c.insert("f", &[vec![3]], CachedPlan::Unplannable);
-        // The insert bumped the shard version: the stale snapshot is
-        // refreshed and the new entry is visible.
-        assert!(c.lookup_with(&mut sess, "f", &[vec![3]]).is_some());
-    }
-
-    #[test]
-    fn session_tick_batches_keep_recency_exact_within_a_session() {
-        let c = SharedPlanCache::new(2);
-        c.insert("a", &[vec![1]], CachedPlan::Unplannable);
-        c.insert("b", &[vec![1]], CachedPlan::Unplannable);
-        let mut sess = c.session();
-        // Touch `a` through the session, then insert `c`: `b` is the LRU.
-        assert!(c.lookup_with(&mut sess, "a", &[vec![1]]).is_some());
-        c.insert("c", &[vec![1]], CachedPlan::Unplannable);
-        assert!(c.lookup("a", &[vec![1]]).is_some());
-        assert!(c.lookup("b", &[vec![1]]).is_none());
-        c.flush_session(&mut sess);
     }
 }

@@ -13,7 +13,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultSite};
 use crate::kv_cache::{self, KV_CACHE_PREFIX};
 use crate::memory::{KvPagePool, MemoryStats, PooledAllocator};
 use crate::moe::{self, MOE_PREFIX};
-use crate::plan_cache::{CachedPlan, PlanCacheSession, SharedPlanCache};
+use crate::plan_cache::{CachedPlan, SharedPlanCache};
 use crate::registry::{KernelError, Registry};
 use crate::value::Value;
 
@@ -280,9 +280,6 @@ pub struct Vm {
     /// Shape-keyed LRU cache of compiled kernel plans (possibly shared
     /// with other VMs).
     plan_cache: SharedPlanCache,
-    /// This VM's probe session: lock-free cache hits via shard snapshots,
-    /// batched LRU ticks and hit/miss counts (flushed after every `run`).
-    cache_session: PlanCacheSession,
     /// Worker threads for parallelizable kernel plans (1 = serial).
     parallelism: usize,
     /// The page pool backing `vm.builtin.kv_cache.*` handles — shared
@@ -325,7 +322,6 @@ impl Vm {
         registry: Arc<Registry>,
         plan_cache: SharedPlanCache,
     ) -> Self {
-        let cache_session = plan_cache.session();
         Vm {
             exec,
             registry,
@@ -336,7 +332,6 @@ impl Vm {
             next_storage_id: 0,
             kernel_stats: HashMap::new(),
             plan_cache,
-            cache_session,
             parallelism: 1,
             kv_pool: Arc::new(KvPagePool::unbounded(DEFAULT_KV_PAGE_TOKENS)),
             fault: None,
@@ -473,9 +468,6 @@ impl Vm {
     /// frame trace (function, pc, instruction).
     pub fn run(&mut self, func: &str, args: &[Value]) -> Result<Value, VmError> {
         let result = self.run_inner(func, args);
-        // Publish this run's batched cache counts so shared stats satisfy
-        // `hits + misses == probes` at every run boundary.
-        self.plan_cache.flush_session(&mut self.cache_session);
         match &result {
             Ok(_) => {
                 if self.poisoned {
@@ -745,43 +737,37 @@ impl Vm {
                 // spans are the timing source for the kernel stats, so
                 // the per-kernel report and the trace share one clock.
                 let mut cache_outcome = None;
-                let cached = if self.plan_cache.enabled() {
-                    match self
-                        .plan_cache
-                        .lookup_with(&mut self.cache_session, func, &shapes)
-                    {
-                        Some(c) => {
-                            self.telemetry.plan_cache_hits += 1;
-                            cache_outcome = Some(relax_trace::CacheOutcome::Hit);
-                            Some(c)
-                        }
-                        None => {
-                            self.telemetry.plan_cache_misses += 1;
-                            let sp = relax_trace::span("vm", || format!("plan:{func}"));
-                            let compiled =
-                                relax_tir::plan::compile(&self.exec.tir_funcs[func], &shapes);
-                            let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
-                                kernel: func.clone(),
-                                shapes: relax_trace::shape_sig(&shapes),
-                                cache: Some(relax_trace::CacheOutcome::Miss),
-                            });
-                            let stat = self.kernel_stats.entry(func.clone()).or_default();
-                            stat.plan_compiles += 1;
-                            stat.compile_time += dt;
-                            self.telemetry.plan_compiles += 1;
-                            let entry = match compiled {
-                                Ok(plan) => CachedPlan::Ready(Arc::new(plan)),
-                                Err(PlanError::Unsupported(_)) => CachedPlan::Unplannable,
-                                Err(PlanError::Interp(e)) => return Err(e.into()),
-                            };
-                            self.telemetry.plan_cache_evictions +=
-                                self.plan_cache.insert(func, &shapes, entry.clone());
-                            cache_outcome = Some(relax_trace::CacheOutcome::Miss);
-                            Some(entry)
-                        }
+                let cached = match self.plan_cache.lookup(func, &shapes) {
+                    Some(c) => {
+                        self.telemetry.plan_cache_hits += 1;
+                        cache_outcome = Some(relax_trace::CacheOutcome::Hit);
+                        Some(c)
                     }
-                } else {
-                    None
+                    None if self.plan_cache.enabled() => {
+                        self.telemetry.plan_cache_misses += 1;
+                        let sp = relax_trace::span("vm", || format!("plan:{func}"));
+                        let compiled =
+                            relax_tir::plan::compile(&self.exec.tir_funcs[func], &shapes);
+                        let dt = sp.finish_with(|| relax_trace::Payload::Kernel {
+                            kernel: func.clone(),
+                            shapes: relax_trace::shape_sig(&shapes),
+                            cache: Some(relax_trace::CacheOutcome::Miss),
+                        });
+                        let stat = self.kernel_stats.entry(func.clone()).or_default();
+                        stat.plan_compiles += 1;
+                        stat.compile_time += dt;
+                        self.telemetry.plan_compiles += 1;
+                        let entry = match compiled {
+                            Ok(plan) => CachedPlan::Ready(Arc::new(plan)),
+                            Err(PlanError::Unsupported(_)) => CachedPlan::Unplannable,
+                            Err(PlanError::Interp(e)) => return Err(e.into()),
+                        };
+                        self.telemetry.plan_cache_evictions +=
+                            self.plan_cache.insert(func, &shapes, entry.clone());
+                        cache_outcome = Some(relax_trace::CacheOutcome::Miss);
+                        Some(entry)
+                    }
+                    None => None,
                 };
                 if matches!(&cached, Some(CachedPlan::Unplannable)) {
                     cache_outcome = Some(relax_trace::CacheOutcome::Unplannable);
@@ -1512,6 +1498,90 @@ mod tests {
         assert_eq!(agg.hits, 1);
         assert_eq!(agg.misses, 1);
         assert_eq!(agg.len, 1);
+    }
+
+    /// Two VMs sharing one cache see one exact LRU order: whichever VM
+    /// touched an entry last, that entry outlives the next eviction.
+    #[test]
+    fn shared_cache_keeps_the_entry_either_vm_touched_last() {
+        let exec = Arc::new(relu_exec());
+        let registry = Arc::new(Registry::new());
+        let cache = SharedPlanCache::new(2);
+        let mut a = Vm::from_parts(exec.clone(), registry.clone(), cache.clone());
+        let mut b = Vm::from_parts(exec, registry, cache.clone());
+        let run = |vm: &mut Vm, n: usize| {
+            let x = NDArray::zeros(&[n], DataType::F32);
+            vm.run("main", &[Value::Tensor(x)]).unwrap();
+        };
+        let compiles = |a: &Vm, b: &Vm| a.telemetry().plan_compiles + b.telemetry().plan_compiles;
+
+        run(&mut a, 1);
+        run(&mut b, 2);
+        run(&mut a, 1); // `a` touches n=1 last
+        run(&mut b, 3); // evicts n=2, the least recent
+        assert_eq!(compiles(&a, &b), 3);
+        run(&mut a, 1);
+        assert_eq!(
+            compiles(&a, &b),
+            3,
+            "the entry `a` touched last was evicted"
+        );
+
+        run(&mut b, 3); // `b` touches n=3 last
+        run(&mut a, 4); // evicts n=1
+        run(&mut b, 3);
+        assert_eq!(
+            compiles(&a, &b),
+            4,
+            "the entry `b` touched last was evicted"
+        );
+        assert_eq!(cache.stats().evictions, 2);
+    }
+
+    /// The shared counters are exact at every probe, not only at `run`
+    /// boundaries: a builtin reading them mid-run sees every lookup the
+    /// run has made so far.
+    #[test]
+    fn shared_cache_stats_add_up_mid_run() {
+        static CACHE: std::sync::OnceLock<SharedPlanCache> = std::sync::OnceLock::new();
+        fn stats_now(_: &[NDArray]) -> Result<NDArray, String> {
+            let s = CACHE.get().expect("cache installed").stats();
+            NDArray::from_f64(
+                &[3],
+                DataType::F32,
+                vec![s.hits as f64, s.misses as f64, s.probes as f64],
+            )
+            .map_err(|e| e.to_string())
+        }
+        let mut exec = relu_exec();
+        let main = exec.funcs.get_mut("main").unwrap();
+        main.instrs[3] = Instr::CallBuiltin {
+            func: "test.plan_cache_stats".into(),
+            args: vec![1],
+            dst: 2,
+        };
+        main.instrs.push(Instr::Ret { src: 2 });
+        let mut registry = Registry::new();
+        registry.register_builtin("test.plan_cache_stats", stats_now);
+        let cache = CACHE.get_or_init(|| SharedPlanCache::new(8)).clone();
+        let (exec, registry) = (Arc::new(exec), Arc::new(registry));
+        let mut a = Vm::from_parts(exec.clone(), registry.clone(), cache.clone());
+        let mut b = Vm::from_parts(exec, registry, cache);
+        let x = Value::Tensor(NDArray::zeros(&[4], DataType::F32));
+        let mid_run = |vm: &mut Vm| {
+            let out = vm.run("main", std::slice::from_ref(&x)).unwrap();
+            out.as_tensor().unwrap().to_f64_vec()
+        };
+        assert_eq!(
+            mid_run(&mut a),
+            vec![0., 1., 1.],
+            "hits, misses, probes after a miss"
+        );
+        assert_eq!(
+            mid_run(&mut b),
+            vec![1., 1., 2.],
+            "hits, misses, probes after a hit"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 # section (per-pass wall time and changed flags for one full default
 # compile of the tiny decode module, from `compile_with_report`) and a
 # "serving" section: decode throughput through the relax-serve worker
-# pool — 1 vs 4 vs 8 workers and shared vs private plan cache, with
-# per-request p50/p95/p99 latency and cross-worker compile counts.
+# pool — 1 vs 4 vs 8 workers sharing one plan cache, with per-request
+# p50/p95/p99 latency and cross-worker compile counts.
 # Interpret the worker-scaling rows against each row's "host_threads":
 # a 1-core host cannot show a multi-worker win (parity is the honest
 # ceiling there). A "lock_wait" section reports every instrumented lock
@@ -55,15 +55,19 @@
 #
 # Usage: scripts/bench.sh [--fast]
 #   --fast   smoke sizing (RELAX_BENCH_FAST=1): a few small batches, for CI.
+#            Writes both files under target/ instead, leaving the
+#            committed ones alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+out=.
 if [ "${1:-}" = "--fast" ]; then
     export RELAX_BENCH_FAST=1
+    out=target
 fi
 
 cargo bench -p relax-bench --bench runtime
-echo "==> BENCH_runtime.json"
-cat BENCH_runtime.json
-echo "==> BENCH_trace.json"
-test -s BENCH_trace.json
+echo "==> $out/BENCH_runtime.json"
+cat "$out/BENCH_runtime.json"
+echo "==> $out/BENCH_trace.json"
+test -s "$out/BENCH_trace.json"

@@ -154,3 +154,62 @@ fn pass_spans_nest_under_the_pipeline_root() {
         }
     }
 }
+
+/// Regression: a capture records only the work it owns. A second thread
+/// loops untraced VM runs while captures begin and finish on this one;
+/// a VM span that opens during a capture belongs to it and closes in it,
+/// and one that opened before it (or nests in one that did) stays out,
+/// so every captured trace is whole.
+#[test]
+fn captures_stay_whole_while_another_thread_runs_vm_work() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    // Compiled under a capture of its own: a compile is root work, and a
+    // capture live in another test would own its spans.
+    let capture = Capture::begin();
+    let mut rng = XorShift::new(0x7100);
+    let exec = compile_with_context(
+        build_random_chain(&mut rng),
+        &CompileOptions::default(),
+        &mut PassContext::new(),
+    )
+    .unwrap();
+    drop(capture.finish());
+    let stop = AtomicBool::new(false);
+    let runs = AtomicUsize::new(0);
+    std::thread::scope(|s| -> Result<(), String> {
+        s.spawn(|| {
+            let mut vm = Vm::new(exec);
+            let x = Value::Tensor(NDArray::zeros(&[3, 8], DataType::F32));
+            let w = Value::Tensor(NDArray::zeros(&[8, 8], DataType::F32));
+            while !stop.load(Ordering::Relaxed) {
+                vm.run("main", &[x.clone(), w.clone()]).unwrap();
+                runs.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        while runs.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        // Checked after the VM thread stops, so a failure cannot hang
+        // the scope.
+        let outcome = (0..300).try_for_each(|i| {
+            let capture = Capture::begin();
+            relax::trace::span("test", || format!("capture:{i}")).finish();
+            let trace = capture.finish();
+            trace
+                .validate()
+                .map_err(|e| format!("capture {i}: malformed trace: {e}"))?;
+            match trace.sync_span_count("test", "capture:") {
+                1 => Ok(()),
+                n => Err(format!("capture {i}: {n} capture spans")),
+            }
+        });
+        stop.store(true, Ordering::Relaxed);
+        outcome
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        runs.load(Ordering::Relaxed) > 1,
+        "the VM thread ran alongside the captures"
+    );
+}
