@@ -21,12 +21,11 @@
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
-use relax_vm::{Executable, FaultPlan, Value, Vm};
+use relax_vm::{Executable, FaultPlan, FaultSite, Value, Vm};
 
 use crate::engine::{OverloadPolicy, RetryPolicy, ServeConfig, ServeEngine, ServeError, Ticket};
 use crate::session::{
-    SessionConfig, SessionError, SessionManager, SessionModelSpec, SessionRequest, SessionStats,
-    SessionTicket,
+    SessionConfig, SessionManager, SessionModelSpec, SessionOutput, SessionRequest, SessionStats,
 };
 use crate::telemetry::EngineReport;
 
@@ -183,40 +182,51 @@ pub fn flatten_value(v: &Value) -> Vec<f64> {
     out
 }
 
-/// Builds the per-worker fault schedule: `round(requests × fault_rate)`
-/// faults spread over the workers, each a uniformly chosen site
-/// (panic / stall / dropped reply / kernel fault) at a uniformly chosen
-/// occurrence within the worker's expected share of the load.
+/// Builds the per-worker fault schedule: `n_faults` faults spread over
+/// the workers, each at a uniformly chosen site of `sites` and a
+/// uniformly chosen occurrence within the worker's expected share of
+/// the `events` (requests, or step fault checks) the run makes.
 fn build_schedule(
     rng: &mut Rng,
     workers: usize,
-    requests: usize,
-    kernels_per_request: u64,
-    fault_rate: f64,
+    events: u64,
+    n_faults: u64,
+    sites: &[FaultSite],
+    kernels_per_event: u64,
     stall: Duration,
-) -> (Vec<(usize, FaultPlan)>, u64) {
-    let n_faults = ((requests as f64) * fault_rate).round() as u64;
-    let per_worker = ((requests / workers.max(1)).max(1)) as u64;
+) -> Vec<(usize, FaultPlan)> {
+    let per_worker = (events / workers.max(1) as u64).max(1);
     let mut plans: Vec<FaultPlan> = (0..workers).map(|_| FaultPlan::new()).collect();
     for _ in 0..n_faults {
         let worker = rng.below(workers as u64) as usize;
         let nth = 1 + rng.below(per_worker);
         let plan = std::mem::take(&mut plans[worker]);
-        plans[worker] = match rng.below(4) {
-            0 => plan.fail_worker_panic(nth),
-            1 => plan.stall_worker(nth, stall),
-            2 => plan.drop_reply(nth),
+        plans[worker] = match sites[rng.below(sites.len() as u64) as usize] {
+            FaultSite::WorkerPanic => plan.fail_worker_panic(nth),
+            FaultSite::WorkerStall => plan.stall_worker(nth, stall),
+            FaultSite::ReplyDrop => plan.drop_reply(nth),
             // Kernel faults count kernel calls, not requests: scale the
             // occurrence by the measured kernels-per-request.
-            _ => plan.fail_kernel(1 + rng.below(per_worker * kernels_per_request.max(1))),
+            _ => plan.fail_kernel(1 + rng.below(per_worker * kernels_per_event.max(1))),
         };
     }
-    let schedule = plans
+    plans
         .into_iter()
         .enumerate()
         .filter(|(_, p)| !p.is_empty())
-        .collect();
-    (schedule, n_faults)
+        .collect()
+}
+
+/// Waits for `ticket` in 50 ms slices; `None` once `guard` has passed.
+fn wait_guarded<T>(ticket: &Ticket<T>, guard: Duration) -> Option<Result<T, ServeError>> {
+    let started = Instant::now();
+    loop {
+        match ticket.wait_timeout(Duration::from_millis(50)) {
+            Some(r) => return Some(r),
+            None if started.elapsed() > guard => return None,
+            None => {}
+        }
+    }
 }
 
 /// Runs `workload` through a chaos-configured engine and reports what
@@ -239,16 +249,21 @@ pub fn run_chaos(exec: Executable, workload: &[ChaosRequest], config: ChaosConfi
     let kernels_per_request = reference_vm.telemetry().kernel_launches / workload.len().max(1) as u64;
 
     let mut engine_config = config.engine.clone();
-    let workers = engine_config.workers.max(1);
-    let (schedule, scheduled_faults) = build_schedule(
+    let scheduled_faults = ((workload.len() as f64) * config.fault_rate).round() as u64;
+    engine_config.worker_faults = build_schedule(
         &mut rng,
-        workers,
-        workload.len(),
+        engine_config.workers.max(1),
+        workload.len() as u64,
+        scheduled_faults,
+        &[
+            FaultSite::WorkerPanic,
+            FaultSite::WorkerStall,
+            FaultSite::ReplyDrop,
+            FaultSite::Kernel,
+        ],
         kernels_per_request,
-        config.fault_rate,
         config.stall,
     );
-    engine_config.worker_faults = schedule;
 
     let engine = ServeEngine::new(exec, engine_config);
     let mut tickets: Vec<(usize, Ticket)> = Vec::with_capacity(workload.len());
@@ -266,24 +281,16 @@ pub fn run_chaos(exec: Executable, workload: &[ChaosRequest], config: ChaosConfi
     let mut unresolved = 0u64;
     let mut mismatches = 0u64;
     for (i, ticket) in tickets {
-        let started = Instant::now();
-        let resolution = loop {
-            match ticket.wait_timeout(Duration::from_millis(50)) {
-                Some(r) => break Some(r),
-                None if started.elapsed() > config.guard => break None,
-                None => {}
-            }
-        };
-        match resolution {
+        match wait_guarded(&ticket, config.guard) {
             Some(Ok(value)) => {
                 completed += 1;
                 if reference[i].as_deref() != Some(&flatten_value(&value)[..]) {
                     mismatches += 1;
                 }
             }
-            Some(Err(
-                ServeError::DeadlineExceeded { .. } | ServeError::Overloaded { .. },
-            )) => shed += 1,
+            Some(Err(ServeError::DeadlineExceeded { .. } | ServeError::Overloaded { .. })) => {
+                shed += 1
+            }
             Some(Err(_)) => failed += 1,
             None => unresolved += 1,
         }
@@ -304,6 +311,10 @@ pub fn run_chaos(exec: Executable, workload: &[ChaosRequest], config: ChaosConfi
     }
 }
 
+/// How long an injected session-worker stall lasts: long enough to
+/// reorder step completions, well under the pool's stall timeout.
+const SESSION_STALL: Duration = Duration::from_millis(50);
+
 /// Knobs for a **session** chaos run (the continuous-batching
 /// scheduler under worker panics and stalls mid-iteration).
 #[derive(Debug, Clone)]
@@ -311,9 +322,9 @@ pub struct SessionChaosConfig {
     /// RNG seed for the fault schedule.
     pub seed: u64,
     /// Worker faults to schedule across the run (panics and stalls,
-    /// alternating pseudo-randomly).
+    /// chosen pseudo-randomly; each stall lasts 50 ms).
     pub faults: usize,
-    /// Base manager configuration; its `faults` plan is replaced by
+    /// Base manager configuration; its `worker_faults` are replaced by
     /// the generated schedule and `return_kv` is forced on so final
     /// caches can be compared bitwise.
     pub manager: SessionConfig,
@@ -330,7 +341,6 @@ impl Default for SessionChaosConfig {
             manager: SessionConfig {
                 workers: 4,
                 max_attempts: 8,
-                stall: Duration::from_millis(50),
                 ..SessionConfig::default()
             },
             guard: Duration::from_secs(60),
@@ -383,87 +393,67 @@ pub fn run_session_chaos(
 
     let mut reference_cfg = config.manager.clone();
     reference_cfg.workers = 1;
-    reference_cfg.faults = FaultPlan::new();
+    reference_cfg.worker_faults = Vec::new();
     reference_cfg.return_kv = true;
     let reference_mgr = SessionManager::new(spec.clone(), reference_cfg);
-    let tickets: Vec<SessionTicket> = workload
+    let tickets: Vec<Ticket<SessionOutput>> = workload
         .iter()
         .map(|r| reference_mgr.submit(r.clone()))
         .collect();
+    let flatten_kv = |out: &SessionOutput| -> Vec<f64> {
+        out.kv
+            .iter()
+            .flatten()
+            .flat_map(|t| t.to_f64_vec())
+            .collect()
+    };
     let reference: Vec<Option<(Vec<i64>, Vec<f64>)>> = tickets
         .into_iter()
         .map(|t| {
             t.wait().ok().map(|out| {
-                let kv: Vec<f64> = out
-                    .kv
-                    .iter()
-                    .flatten()
-                    .flat_map(|t| t.to_f64_vec())
-                    .collect();
+                let kv = flatten_kv(&out);
                 (out.tokens, kv)
             })
         })
         .collect();
     let ref_stats = reference_mgr.shutdown();
-    // Steps the workload needs end to end; fault occurrences land in
-    // this range so they actually fire.
-    let total_steps =
-        (ref_stats.prefills + ref_stats.decodes + 2 * ref_stats.speculations).max(1);
+    // Fault checks the workload makes end to end (a speculation step
+    // checks each serving site twice); occurrences land in this range so
+    // they actually fire.
+    let total_steps = ref_stats.prefills + ref_stats.decodes + 2 * ref_stats.speculations;
 
     let mut faulty_cfg = config.manager.clone();
     faulty_cfg.return_kv = true;
-    let mut plan = FaultPlan::new();
-    for _ in 0..config.faults {
-        let nth = 1 + rng.below(total_steps);
-        plan = if rng.below(2) == 0 {
-            plan.fail_worker_panic(nth)
-        } else {
-            plan.stall_worker(nth, faulty_cfg.stall)
-        };
-    }
-    let scheduled_faults = plan.len() as u64;
-    faulty_cfg.faults = plan;
+    let scheduled_faults = config.faults as u64;
+    faulty_cfg.worker_faults = build_schedule(
+        &mut rng,
+        faulty_cfg.workers.max(1),
+        total_steps,
+        scheduled_faults,
+        &[FaultSite::WorkerPanic, FaultSite::WorkerStall],
+        1,
+        SESSION_STALL,
+    );
 
     let mgr = SessionManager::new(spec, faulty_cfg);
     let pool = mgr.pool().clone();
-    let tickets: Vec<SessionTicket> = workload.iter().map(|r| mgr.submit(r.clone())).collect();
+    let tickets: Vec<Ticket<SessionOutput>> =
+        workload.iter().map(|r| mgr.submit(r.clone())).collect();
 
     let mut retired = 0u64;
     let mut errored = 0u64;
     let mut unresolved = 0u64;
     let mut mismatches = 0u64;
     for (i, ticket) in tickets.into_iter().enumerate() {
-        let started = Instant::now();
-        let resolution = loop {
-            if let Some(r) = ticket.try_wait() {
-                break Some(r);
-            }
-            if started.elapsed() > config.guard {
-                break None;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        match resolution {
+        match wait_guarded(&ticket, config.guard) {
             Some(Ok(out)) => {
                 retired += 1;
-                let kv: Vec<f64> = out
-                    .kv
-                    .iter()
-                    .flatten()
-                    .flat_map(|t| t.to_f64_vec())
-                    .collect();
+                let kv = flatten_kv(&out);
                 if reference[i] != Some((out.tokens, kv)) {
                     mismatches += 1;
                 }
             }
-            Some(Err(
-                SessionError::Evicted
-                | SessionError::DeadlineExceeded
-                | SessionError::ShuttingDown
-                | SessionError::Rejected(_)
-                | SessionError::RetriesExhausted(_)
-                | SessionError::Vm(_),
-            )) => errored += 1,
+            Some(Err(_)) => errored += 1,
             None => unresolved += 1,
         }
     }

@@ -1,34 +1,39 @@
 //! The serving engine: one executable, many sessions, self-healing
-//! workers.
+//! workers — and the pool core it shares with the session manager.
 //!
-//! A [`ServeEngine`] owns a single immutable [`Executable`] and a fixed
-//! pool of worker threads, each running its own [`relax_vm::Vm`] built with
-//! [`relax_vm::Vm::from_parts`] — per-invocation state (register frame, memory
-//! pool, telemetry) is private to the worker, while the executable, the
-//! foreign-function registry and (by default) the kernel-plan cache are
-//! shared. Requests flow through a bounded queue with backpressure;
-//! stale requests are shed against their deadline instead of executed
-//! late; and the dequeue path batches queued requests with identical
-//! concrete shapes so a plan compiled for one session is reused by the
-//! rest of the batch without even a cache probe race.
+//! A [`ServeEngine`] owns a single immutable [`Executable`] and a
+//! supervised worker pool ([`crate::supervisor::Pool`]), each worker
+//! running its own [`relax_vm::Vm`] built with
+//! [`relax_vm::Vm::from_parts`] — per-invocation state (register frame,
+//! memory pool, telemetry) is private to the worker, while the
+//! executable, the foreign-function registry and the kernel-plan cache
+//! are shared. The pool's `Core` is not engine-specific: it holds a
+//! list of programs, and [`crate::SessionManager`] runs its session
+//! steps on the same kind of pool. Requests flow through a bounded queue
+//! with backpressure; stale requests are shed against their deadline
+//! instead of executed late; and the dequeue path batches queued
+//! requests with identical concrete shapes so a plan compiled for one
+//! session is reused by the rest of the batch without even a cache
+//! probe race.
 //!
-//! Engine failures are *typed*, never panics: VM-level faults keep their
-//! full [`VmError`] taxonomy and frame trace inside
-//! [`ServeError::Vm`], and admission-control outcomes (queue full,
-//! overload, deadline missed, shutdown) get their own variants so
-//! callers can distinguish "retry later" from "this request is wrong".
-//! Even a worker thread *panicking* mid-request stays inside the
-//! taxonomy: the panic is contained at the worker loop, the in-flight
-//! request resolves as [`ServeError::WorkerLost`] (or is retried), and
-//! a supervisor thread respawns a fresh VM into the slot — see
-//! [`crate::supervisor`].
+//! Failures are *typed*, never panics: VM-level faults keep their full
+//! [`VmError`] taxonomy and frame trace inside [`ServeError::Vm`], and
+//! admission-control outcomes (queue full, overload, deadline missed,
+//! shutdown) and session outcomes (evicted, retries exhausted, rejected)
+//! get their own variants so callers can distinguish "retry later" from
+//! "this request is wrong". Even a worker thread *panicking* mid-request
+//! stays inside the taxonomy: the panic is contained at the worker loop,
+//! the in-flight request resolves as [`ServeError::WorkerLost`] (or is
+//! retried), and a supervisor thread respawns fresh VMs into the slot —
+//! see [`crate::supervisor`].
 //!
 //! Three optional policies harden the engine under faults and load:
 //!
 //! - [`RetryPolicy`]: transient failures (lost workers, queue-full /
 //!   overload refusals, kernel faults) are re-enqueued with exponential
 //!   backoff instead of surfacing to the caller, within an attempt
-//!   budget and the request's own deadline.
+//!   budget and the request's own deadline. Calls only: session steps
+//!   keep the scheduler's attempt budget.
 //! - [`OverloadPolicy`]: queue-depth watermarks drive admission — below
 //!   the shed watermark everything is accepted; above it each admission
 //!   evicts the queued request with the least deadline budget (when one
@@ -42,15 +47,14 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use relax_vm::registry::Registry;
-use relax_vm::{Executable, FaultPlan, SharedPlanCache, Value, VmError, VmErrorKind};
+use relax_vm::{Executable, FaultPlan, KvPagePool, SharedPlanCache, Value, VmError, VmErrorKind};
 
-use crate::queue::{PushError, PushOutcome, Request, RequestQueue};
-use crate::supervisor::{self, SupervisorState};
-use crate::telemetry::{EngineReport, EngineStats, LatencyReservoir, WorkerReport};
+use crate::queue::{PushError, PushOutcome, Request, RequestQueue, Work};
+use crate::supervisor::{self, Pool, SupervisorState};
+use crate::telemetry::{EngineReport, EngineStats, LatencyReservoir};
 
 /// Locks a mutex, ignoring poisoning: engine state stays readable even
 /// if a holder panicked (panics are contained, but stay defensive).
@@ -205,10 +209,6 @@ pub struct ServeConfig {
     /// Capacity of the plan cache all workers share: a shape compiled
     /// by any worker is a hit for every other.
     pub plan_cache_capacity: usize,
-    /// Intra-kernel parallelism for each worker VM (see
-    /// [`relax_vm::Vm::set_parallelism`]). Serving parallelism usually wants this
-    /// at 1: inter-request parallelism comes from the pool.
-    pub vm_parallelism: usize,
     /// Deterministic fault plans installed on specific workers at
     /// startup, for fault-isolation and chaos testing: `(worker index,
     /// plan)`. VM sites go to the worker's `Vm`; serving sites
@@ -225,9 +225,6 @@ pub struct ServeConfig {
     /// How long a *busy* worker may go without a heartbeat before the
     /// supervisor declares it wedged and replaces it.
     pub stall_timeout: Duration,
-    /// Capacity of the bounded latency reservoir (O(1) memory however
-    /// many requests complete).
-    pub latency_sample_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -238,18 +235,16 @@ impl Default for ServeConfig {
             max_batch: 8,
             default_deadline: None,
             plan_cache_capacity: 64,
-            vm_parallelism: 1,
             worker_faults: Vec::new(),
             retry: None,
             overload: None,
             restart_budget: 3,
             stall_timeout: Duration::from_secs(1),
-            latency_sample_capacity: 2048,
         }
     }
 }
 
-/// Why a request did not produce a value.
+/// Why a request or a session did not produce its output.
 #[derive(Debug)]
 pub enum ServeError {
     /// The queue was at capacity when the request arrived — backpressure;
@@ -265,15 +260,25 @@ pub enum ServeError {
         depth: usize,
     },
     /// The request's deadline passed while it waited (in the queue or in
-    /// retry backoff); it was shed without executing.
+    /// retry backoff) and it was shed without executing; or a session's
+    /// deadline passed before it finished.
     DeadlineExceeded {
         missed_by: Duration,
     },
     /// The worker handling the request disappeared before replying
-    /// (panic, dropped reply channel).
+    /// (panic, dropped reply channel), or no live worker is left to run
+    /// it (every slot quarantined).
     WorkerLost,
     /// The engine is shutting down and no longer admits requests.
     ShuttingDown,
+    /// The session was evicted under page-pool pressure (earliest
+    /// deadline first).
+    Evicted,
+    /// The session's attempt budget ran out (repeated worker panics or
+    /// unresolvable page-pool pressure).
+    RetriesExhausted(String),
+    /// The session request was malformed (empty prompt).
+    Rejected(String),
     /// The request executed and failed inside the VM. The full
     /// [`VmError`] taxonomy and frame trace are preserved.
     Vm(VmError),
@@ -293,6 +298,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::WorkerLost => write!(f, "worker lost before replying"),
             ServeError::ShuttingDown => write!(f, "engine is shutting down"),
+            ServeError::Evicted => write!(f, "session evicted under page-pool pressure"),
+            ServeError::RetriesExhausted(why) => write!(f, "retries exhausted: {why}"),
+            ServeError::Rejected(why) => write!(f, "rejected: {why}"),
             ServeError::Vm(e) => write!(f, "vm error: {e}"),
         }
     }
@@ -313,27 +321,34 @@ impl From<VmError> for ServeError {
     }
 }
 
-/// A handle to an in-flight request; redeem it with [`Ticket::wait`]
-/// (or poll it with [`Ticket::wait_timeout`] / [`Ticket::try_wait`]).
+/// A handle to an in-flight request or session; redeem it with
+/// [`Ticket::wait`] (or poll it with [`Ticket::wait_timeout`] /
+/// [`Ticket::try_wait`]). `T` is [`Value`] for engine calls and
+/// [`crate::SessionOutput`] for sessions.
 ///
 /// A ticket always resolves: every admitted request either replies,
 /// fails typed, or — if its worker vanished in a way nobody could
 /// report — resolves as [`ServeError::WorkerLost`] when the reply
-/// channel closes. It never hangs forever.
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<Value, ServeError>>,
+/// channel closes. It never hangs forever; polling again after a result
+/// was taken sees the closed channel, so it returns `WorkerLost` too.
+pub struct Ticket<T = Value> {
+    rx: mpsc::Receiver<Result<T, ServeError>>,
 }
 
-impl Ticket {
+impl<T> Ticket<T> {
+    pub(crate) fn new(rx: mpsc::Receiver<Result<T, ServeError>>) -> Self {
+        Ticket { rx }
+    }
+
     /// Blocks until the request completes, is shed, or its worker dies.
-    pub fn wait(self) -> Result<Value, ServeError> {
+    pub fn wait(self) -> Result<T, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::WorkerLost))
     }
 
     /// Waits up to `timeout` for the request to resolve. `None` means
     /// still in flight; a closed reply channel (the worker vanished
     /// without reporting) resolves as [`ServeError::WorkerLost`].
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Value, ServeError>> {
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, ServeError>> {
         match self.rx.recv_timeout(timeout) {
             Ok(result) => Some(result),
             Err(mpsc::RecvTimeoutError::Timeout) => None,
@@ -342,7 +357,7 @@ impl Ticket {
     }
 
     /// Non-blocking poll; same contract as [`Ticket::wait_timeout`].
-    pub fn try_wait(&self) -> Option<Result<Value, ServeError>> {
+    pub fn try_wait(&self) -> Option<Result<T, ServeError>> {
         match self.rx.try_recv() {
             Ok(result) => Some(result),
             Err(mpsc::TryRecvError::Empty) => None,
@@ -369,9 +384,17 @@ pub(crate) struct Counters {
     pub(crate) batched_extra: AtomicU64,
 }
 
-/// Everything the worker pool, the supervisor and the engine handle
-/// share. One `Arc<Core>` per engine; workers and the supervisor each
-/// hold a clone so the engine handle can be dropped independently.
+/// One program the pool runs: an executable and the plan cache every
+/// worker's VM for it shares. Respawned workers reuse the cache, so a
+/// healed pool keeps its warm plans.
+pub(crate) struct Program {
+    pub(crate) exec: Arc<Executable>,
+    pub(crate) plans: SharedPlanCache,
+}
+
+/// Everything the worker pool, the supervisor and the pool's owner
+/// share. One `Arc<Core>` per pool; workers and the supervisor each
+/// hold a clone so the owner can be dropped independently.
 pub(crate) struct Core {
     pub(crate) queue: RequestQueue,
     pub(crate) counters: Counters,
@@ -379,12 +402,12 @@ pub(crate) struct Core {
     /// Heartbeats are nanoseconds since this instant (a shared epoch so
     /// they fit an `AtomicU64`).
     pub(crate) epoch: Instant,
-    pub(crate) exec: Arc<Executable>,
+    /// Every worker incarnation builds one VM per program. Calls run on
+    /// the first; steps pick theirs.
+    pub(crate) programs: Vec<Program>,
     pub(crate) registry: Arc<Registry>,
-    /// The plan cache every worker VM shares. Respawned workers reuse
-    /// it, so a healed pool keeps its warm plans.
-    pub(crate) plan_cache: SharedPlanCache,
-    pub(crate) vm_parallelism: usize,
+    /// The page pool behind session KV caches (`None` for engine pools).
+    pub(crate) kv_pool: Option<Arc<KvPagePool>>,
     pub(crate) max_batch: usize,
     pub(crate) retry: Option<RetryPolicy>,
     pub(crate) restart_budget: u32,
@@ -395,7 +418,36 @@ pub(crate) struct Core {
     pub(crate) sup: SupervisorState,
 }
 
+/// Latency samples the bounded reservoir keeps (O(1) memory however
+/// many requests complete).
+const LATENCY_SAMPLES: usize = 2048;
+
 impl Core {
+    pub(crate) fn new(
+        config: &ServeConfig,
+        programs: Vec<Program>,
+        registry: Arc<Registry>,
+        kv_pool: Option<Arc<KvPagePool>>,
+    ) -> Self {
+        // Seed chosen once; the reservoir is deterministic per engine.
+        const LATENCY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+        Core {
+            queue: RequestQueue::new(config.queue_capacity, config.overload),
+            counters: Counters::default(),
+            latencies: Mutex::new(LatencyReservoir::new(LATENCY_SAMPLES, LATENCY_SEED)),
+            epoch: Instant::now(),
+            programs,
+            registry,
+            kv_pool,
+            max_batch: config.max_batch.max(1),
+            retry: config.retry.clone(),
+            restart_budget: config.restart_budget,
+            stall_timeout: config.stall_timeout.max(Duration::from_millis(1)),
+            stopping: AtomicBool::new(false),
+            sup: SupervisorState::new(),
+        }
+    }
+
     /// Nanoseconds since the engine epoch (heartbeat clock).
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -421,15 +473,18 @@ impl Core {
             quarantined: c.quarantined.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
             batched_extra: c.batched_extra.load(Ordering::Relaxed),
-            plan_cache: self.plan_cache.stats(),
+            plan_cache: self.programs[0].plans.stats(),
             latency: lock(&self.latencies).summary(),
         }
     }
 }
 
-/// Resolves a request successfully: counters, latency sample, span end,
+/// Resolves a call successfully: counters, latency sample, span end,
 /// reply.
 pub(crate) fn resolve_ok(core: &Core, req: Request, value: Value) {
+    let Work::Call { reply, .. } = req.work else {
+        return; // steps report through their own channel
+    };
     core.counters.completed.fetch_add(1, Ordering::Relaxed);
     let ns = req.enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     lock(&core.latencies).push(ns);
@@ -439,14 +494,19 @@ pub(crate) fn resolve_ok(core: &Core, req: Request, value: Value) {
             phase: relax_trace::RequestPhase::Reply,
         }
     });
-    let _ = req.reply.send(Ok(value));
+    let _ = reply.send(Ok(value));
 }
 
 /// Resolves a request with a *final* error: classifies it into the
 /// counter buckets (deadline/overload sheds are `timed_out`, the rest
 /// `failed`), closes the request span and replies. Use
 /// [`fail_or_retry`] instead when the failure may still be retried.
+/// A step reports [`crate::session`]'s `Panicked` outcome instead.
 pub(crate) fn resolve_err(core: &Core, req: Request, err: ServeError) {
+    let reply = match req.work {
+        Work::Call { reply, .. } => reply,
+        Work::Step(step) => return step.abandon(&err),
+    };
     let shed = match &err {
         ServeError::DeadlineExceeded { .. } => {
             core.counters.timed_out.fetch_add(1, Ordering::Relaxed);
@@ -483,10 +543,12 @@ pub(crate) fn resolve_err(core: &Core, req: Request, err: ServeError) {
             phase,
         }
     });
-    let _ = req.reply.send(Err(err));
+    let _ = reply.send(Err(err));
 }
 
-/// Maps a queue refusal to its typed error.
+/// Maps a queue refusal to its typed error. A queue closed while the
+/// pool is not stopping has no live worker left (every slot
+/// quarantined).
 pub(crate) fn refusal_error(core: &Core, why: PushError) -> ServeError {
     match why {
         PushError::Full => ServeError::QueueFull {
@@ -496,7 +558,31 @@ pub(crate) fn refusal_error(core: &Core, why: PushError) -> ServeError {
         PushError::Overloaded => ServeError::Overloaded {
             depth: core.queue.depth(),
         },
-        PushError::Closed => ServeError::ShuttingDown,
+        PushError::Closed if core.stopping.load(Ordering::Acquire) => ServeError::ShuttingDown,
+        PushError::Closed => ServeError::WorkerLost,
+    }
+}
+
+/// Pushes a request into the queue on behalf of the pool (a retry, a
+/// batch rider handed back, a session step). An overload victim
+/// resolves `Overloaded`; a refusal is retried or resolved typed.
+pub(crate) fn requeue(core: &Core, req: Request) {
+    match core.queue.push(req) {
+        PushOutcome::Admitted { shed } => {
+            if let Some(victim) = shed {
+                resolve_err(
+                    core,
+                    victim,
+                    ServeError::Overloaded {
+                        depth: core.queue.depth(),
+                    },
+                );
+            }
+        }
+        PushOutcome::Refused { req, why } => {
+            let err = refusal_error(core, why);
+            fail_or_retry(core, req, err);
+        }
     }
 }
 
@@ -506,37 +592,44 @@ pub(crate) fn refusal_error(core: &Core, why: PushError) -> ServeError {
 /// The request's deadline is *not* checked here: it is checked when the
 /// backoff elapses, so a deadline expiring mid-backoff resolves as
 /// [`ServeError::DeadlineExceeded`], never as a retry past budget.
-pub(crate) fn fail_or_retry(core: &Core, mut req: Request, err: ServeError) {
-    if !core.stopping.load(Ordering::Acquire) {
-        if let Some(policy) = &core.retry {
-            let class_ok = match &err {
-                ServeError::WorkerLost => policy.retry_on.worker_lost,
-                ServeError::QueueFull { .. } | ServeError::Overloaded { .. } => {
-                    policy.retry_on.overload
-                }
-                ServeError::Vm(e) => {
-                    policy.retry_on.kernel_faults && matches!(e.kind, VmErrorKind::Kernel(_))
-                }
-                _ => false,
-            };
-            if class_ok && req.attempt + 1 < policy.max_attempts.max(1) {
-                req.attempt += 1;
-                core.counters.retries.fetch_add(1, Ordering::Relaxed);
-                relax_trace::instant(
-                    "serve",
-                    || format!("retry:{}", req.id),
-                    || relax_trace::Payload::Request {
-                        request: req.id,
-                        phase: relax_trace::RequestPhase::Retry,
-                    },
-                );
-                let due = Instant::now() + policy.backoff_for(req.attempt);
-                supervisor::schedule_retry(core, req, due);
-                return;
-            }
-        }
+pub(crate) fn fail_or_retry(core: &Core, req: Request, err: ServeError) {
+    if let Some(req) = retry_later(core, req, &err) {
+        resolve_err(core, req, err);
     }
-    resolve_err(core, req, err);
+}
+
+/// Schedules `req` for re-enqueue after backoff when the retry policy
+/// covers `err` and the request has attempts left; hands it back
+/// otherwise (always while stopping).
+fn retry_later(core: &Core, mut req: Request, err: &ServeError) -> Option<Request> {
+    let policy = match &core.retry {
+        Some(policy) if !core.stopping.load(Ordering::Acquire) => policy,
+        _ => return Some(req),
+    };
+    let class_ok = match err {
+        ServeError::WorkerLost => policy.retry_on.worker_lost,
+        ServeError::QueueFull { .. } | ServeError::Overloaded { .. } => policy.retry_on.overload,
+        ServeError::Vm(e) => {
+            policy.retry_on.kernel_faults && matches!(e.kind, VmErrorKind::Kernel(_))
+        }
+        _ => false,
+    };
+    if !class_ok || req.attempt + 1 >= policy.max_attempts.max(1) {
+        return Some(req);
+    }
+    req.attempt += 1;
+    core.counters.retries.fetch_add(1, Ordering::Relaxed);
+    relax_trace::instant(
+        "serve",
+        || format!("retry:{}", req.id),
+        || relax_trace::Payload::Request {
+            request: req.id,
+            phase: relax_trace::RequestPhase::Retry,
+        },
+    );
+    let due = Instant::now() + policy.backoff_for(req.attempt);
+    supervisor::schedule_retry(core, req, due);
+    None
 }
 
 /// The concrete shape signature of an argument list — the batching key.
@@ -567,11 +660,10 @@ fn shape_signature(args: &[Value]) -> Vec<Vec<usize>> {
 /// Multi-session serving engine over one executable. See the module
 /// docs for the architecture; see [`ServeConfig`] for the knobs.
 pub struct ServeEngine {
-    core: Arc<Core>,
+    pool: Pool,
     /// Dense request-id source (first request gets 1).
     next_request_id: AtomicU64,
     default_deadline: Option<Duration>,
-    supervisor: Option<JoinHandle<()>>,
 }
 
 impl ServeEngine {
@@ -582,58 +674,14 @@ impl ServeEngine {
 
     /// Builds an engine with a custom foreign-function registry.
     pub fn with_registry(exec: Executable, registry: Registry, config: ServeConfig) -> Self {
-        let exec = Arc::new(exec);
-        let registry = Arc::new(registry);
-        let workers = config.workers.max(1);
-
-        // Seed chosen once; the reservoir is deterministic per engine.
-        const LATENCY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-        let core = Arc::new(Core {
-            queue: RequestQueue::new(config.queue_capacity, config.overload),
-            counters: Counters::default(),
-            latencies: Mutex::new(LatencyReservoir::new(
-                config.latency_sample_capacity,
-                LATENCY_SEED,
-            )),
-            epoch: Instant::now(),
-            exec,
-            registry,
-            plan_cache: SharedPlanCache::new(config.plan_cache_capacity),
-            vm_parallelism: config.vm_parallelism,
-            max_batch: config.max_batch.max(1),
-            retry: config.retry.clone(),
-            restart_budget: config.restart_budget,
-            stall_timeout: config.stall_timeout.max(Duration::from_millis(1)),
-            stopping: AtomicBool::new(false),
-            sup: SupervisorState::new(),
-        });
-
-        {
-            let mut slots = lock(&core.sup.slots);
-            for idx in 0..workers {
-                let faults = config
-                    .worker_faults
-                    .iter()
-                    .filter(|(target, _)| *target == idx)
-                    .map(|(_, plan)| plan.clone())
-                    .next_back();
-                slots.push(supervisor::new_slot(&core, idx, faults));
-            }
-        }
-
-        let supervisor = std::thread::Builder::new()
-            .name("relax-serve-supervisor".into())
-            .spawn({
-                let core = core.clone();
-                move || supervisor::supervisor_loop(core)
-            })
-            .expect("spawn serve supervisor");
-
+        let program = Program {
+            exec: Arc::new(exec),
+            plans: SharedPlanCache::new(config.plan_cache_capacity),
+        };
         ServeEngine {
-            core,
+            pool: Pool::start(&config, vec![program], Arc::new(registry), None),
             next_request_id: AtomicU64::new(0),
             default_deadline: config.default_deadline,
-            supervisor: Some(supervisor),
         }
     }
 
@@ -654,7 +702,7 @@ impl ServeEngine {
         args: &[Value],
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
-        let core = &*self.core;
+        let core = &*self.pool.core;
         let now = Instant::now();
         let id = self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
         // The request span opens *before* the push: once the request is
@@ -671,13 +719,15 @@ impl ServeEngine {
         let req = Request {
             id,
             trace,
-            func: func.to_string(),
-            args: args.to_vec(),
-            shape_sig: shape_signature(args),
             deadline: deadline.map(|d| now + d),
             enqueued: now,
             attempt: 0,
-            reply: tx,
+            work: Work::Call {
+                func: func.to_string(),
+                args: args.to_vec(),
+                shape_sig: shape_signature(args),
+                reply: tx,
+            },
         };
         let outcome = core.queue.push(req);
         admit.finish_with(|| relax_trace::Payload::Request {
@@ -698,33 +748,25 @@ impl ServeEngine {
                         },
                     );
                 }
-                Ok(Ticket { rx })
+                Ok(Ticket::new(rx))
             }
-            PushOutcome::Refused { mut req, why } => {
+            PushOutcome::Refused { req, why } => {
+                let closed = why == PushError::Closed;
+                let err = refusal_error(core, why);
                 // A refusal the retry policy covers becomes a deferred
                 // admission: the engine takes responsibility for the
                 // ticket and re-enqueues after backoff.
-                if !matches!(why, PushError::Closed) && !core.stopping.load(Ordering::Acquire) {
-                    if let Some(policy) = &core.retry {
-                        if policy.retry_on.overload && req.attempt + 1 < policy.max_attempts.max(1)
-                        {
-                            req.attempt += 1;
+                let req = if closed {
+                    req
+                } else {
+                    match retry_later(core, req, &err) {
+                        None => {
                             core.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                            core.counters.retries.fetch_add(1, Ordering::Relaxed);
-                            relax_trace::instant(
-                                "serve",
-                                || format!("retry:{id}"),
-                                || relax_trace::Payload::Request {
-                                    request: id,
-                                    phase: relax_trace::RequestPhase::Retry,
-                                },
-                            );
-                            let due = Instant::now() + policy.backoff_for(req.attempt);
-                            supervisor::schedule_retry(core, req, due);
-                            return Ok(Ticket { rx });
+                            return Ok(Ticket::new(rx));
                         }
+                        Some(req) => req,
                     }
-                }
+                };
                 // Refused outright: the request never entered the queue;
                 // close its span here so the trace stays balanced.
                 relax_trace::async_end("serve", "request", req.trace, || {
@@ -733,24 +775,12 @@ impl ServeEngine {
                         phase: relax_trace::RequestPhase::Reply,
                     }
                 });
-                let err = match why {
-                    PushError::Full => {
-                        core.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
-                        ServeError::QueueFull {
-                            depth: core.queue.depth(),
-                            capacity: core.queue.capacity(),
-                        }
-                    }
-                    PushError::Overloaded => {
-                        core.counters
-                            .rejected_overload
-                            .fetch_add(1, Ordering::Relaxed);
-                        ServeError::Overloaded {
-                            depth: core.queue.depth(),
-                        }
-                    }
-                    PushError::Closed => ServeError::ShuttingDown,
-                };
+                match err {
+                    ServeError::QueueFull { .. } => &core.counters.rejected_full,
+                    ServeError::Overloaded { .. } => &core.counters.rejected_overload,
+                    _ => return Err(err),
+                }
+                .fetch_add(1, Ordering::Relaxed);
                 Err(err)
             }
         }
@@ -763,87 +793,21 @@ impl ServeEngine {
 
     /// A point-in-time snapshot of the engine counters.
     pub fn stats(&self) -> EngineStats {
-        self.core.stats()
+        self.pool.core.stats()
     }
 
     /// Stops admitting requests, flushes pending retries, drains the
     /// queue, joins every worker incarnation (and the supervisor) and
     /// returns the final stats plus per-incarnation VM snapshots.
+    /// Dropping the engine runs the same stop sequence.
     ///
     /// Never panics — a worker that died uncontained is reported as
     /// [`crate::WorkerExit::Panicked`] in the [`EngineReport`] instead.
     pub fn shutdown(mut self) -> EngineReport {
-        let core = self.core.clone();
-        core.stopping.store(true, Ordering::Release);
-        core.sup.wake.notify_all();
-        // The supervisor's final pass flushes pending retries back into
-        // the (still open) queue so workers drain them.
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
-        core.queue.close();
-
-        let mut workers: Vec<WorkerReport> = Vec::new();
-        {
-            let mut slots = lock(&core.sup.slots);
-            for slot in slots.iter_mut() {
-                if let Some(h) = slot.handle.take() {
-                    workers.push(supervisor::join_report(h, slot.idx, slot.generation));
-                }
-            }
-        }
-        for (idx, generation, h) in lock(&core.sup.abandoned).drain(..) {
-            workers.push(supervisor::join_report(h, idx, generation));
-        }
-        workers.extend(lock(&core.sup.reaped).drain(..));
-        workers.sort_by_key(|w| (w.worker, w.generation));
-
-        // Retries scheduled in the race window after the supervisor
-        // exited have nobody to re-enqueue them: resolve them typed so
-        // no ticket ever hangs.
-        let orphans: Vec<Request> = lock(&core.sup.retries)
-            .heap
-            .drain()
-            .map(|d| d.req)
-            .collect();
-        for req in orphans {
-            resolve_err(&core, req, ServeError::ShuttingDown);
-        }
-
+        let workers = self.pool.stop();
         EngineReport {
-            stats: core.stats(),
+            stats: self.pool.core.stats(),
             workers,
-        }
-    }
-}
-
-impl Drop for ServeEngine {
-    fn drop(&mut self) {
-        let core = &self.core;
-        core.stopping.store(true, Ordering::Release);
-        core.sup.wake.notify_all();
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
-        core.queue.close();
-        {
-            let mut slots = lock(&core.sup.slots);
-            for slot in slots.iter_mut() {
-                if let Some(h) = slot.handle.take() {
-                    let _ = h.join();
-                }
-            }
-        }
-        for (_, _, h) in lock(&core.sup.abandoned).drain(..) {
-            let _ = h.join();
-        }
-        let orphans: Vec<Request> = lock(&core.sup.retries)
-            .heap
-            .drain()
-            .map(|d| d.req)
-            .collect();
-        for req in orphans {
-            resolve_err(core, req, ServeError::ShuttingDown);
         }
     }
 }

@@ -2,9 +2,10 @@
 //! watermark-driven overload control.
 //!
 //! `std` only: one `Mutex<VecDeque>` (instrumented as the `serve.queue`
-//! lock site) and one `Condvar`. A batch is the oldest request plus every
-//! queued request with the same batching key `(function, shape
-//! signature)`, up to a cap, taken in FIFO order. Requests batched
+//! lock site) and one `Condvar`. An item is a stateless call or a
+//! session step. A batch is the oldest item plus every queued call with
+//! the same batching key `(function, shape signature)`, up to a cap,
+//! taken in FIFO order; a step always dequeues alone. Requests batched
 //! together resolve the same plan-cache entry, so a worker pays at most
 //! one cache probe chain per batch of identical decode steps.
 //!
@@ -33,25 +34,20 @@ use relax_trace::LockSite;
 use relax_vm::Value;
 
 use crate::engine::{AdmissionLevel, OverloadPolicy, ServeError};
+use crate::session::Step;
 
 static QUEUE_SITE: LockSite = LockSite::new("serve.queue");
 
-/// A queued inference request.
+/// One work item of the pool: a stateless call or a session step.
 pub(crate) struct Request {
-    /// Engine-assigned request id (dense from 1), for telemetry and
-    /// trace payloads.
+    /// Engine-assigned request id (dense from 1; `0` for steps), for
+    /// telemetry and trace payloads.
     pub id: u64,
     /// The request's trace span, opened on the submit thread and closed
-    /// wherever the request resolves (`0` when unrecorded). Carrying it
-    /// through the queue is what stitches worker-side spans under the
-    /// submitting session's request span.
+    /// wherever the request resolves (`0` when unrecorded or a step).
+    /// Carrying it through the queue is what stitches worker-side spans
+    /// under the submitting session's request span.
     pub trace: relax_trace::SpanId,
-    /// VM function to run.
-    pub func: String,
-    /// Arguments.
-    pub args: Vec<Value>,
-    /// Concrete shape signature of the tensor arguments (batching key).
-    pub shape_sig: Vec<Vec<usize>>,
     /// Absolute deadline; requests past it are shed, not executed.
     pub deadline: Option<Instant>,
     /// When the request entered the queue (latency accounting).
@@ -60,15 +56,40 @@ pub(crate) struct Request {
     /// attempt 0; each retryable failure increments it — see
     /// [`crate::RetryPolicy::max_attempts`]).
     pub attempt: u32,
-    /// Where the response goes.
-    pub reply: mpsc::Sender<Result<Value, ServeError>>,
+    /// What to run.
+    pub work: Work,
+}
+
+/// What a worker does with a [`Request`].
+pub(crate) enum Work {
+    /// Run `func(args)` on the pool's first program; batched by shape.
+    Call {
+        func: String,
+        args: Vec<Value>,
+        /// Concrete shape signature of the arguments (batching key).
+        shape_sig: Vec<Vec<usize>>,
+        /// Where the response goes.
+        reply: mpsc::Sender<Result<Value, ServeError>>,
+    },
+    /// One session step; never batched, never retried by the engine.
+    Step(Step),
 }
 
 impl Request {
-    /// Same function, same concrete argument shapes: the two can share a
-    /// batch.
+    /// The batching key of a call: same function, same concrete argument
+    /// shapes. Steps have none, so they never share a batch.
+    fn batch_key(&self) -> Option<(&str, &[Vec<usize>])> {
+        match &self.work {
+            Work::Call {
+                func, shape_sig, ..
+            } => Some((func, shape_sig)),
+            Work::Step(_) => None,
+        }
+    }
+
     fn batches_with(&self, other: &Request) -> bool {
-        self.func == other.func && self.shape_sig == other.shape_sig
+        self.batch_key()
+            .is_some_and(|k| other.batch_key() == Some(k))
     }
 }
 
@@ -240,6 +261,17 @@ impl RequestQueue {
         self.lock().closed = true;
         self.ready.notify_all();
     }
+
+    /// Closes the queue and hands back everything still queued, for a
+    /// pool with no live worker left to drain it.
+    pub(crate) fn close_and_take(&self) -> Vec<Request> {
+        let mut st = self.lock();
+        st.closed = true;
+        let items = st.items.drain(..).collect();
+        drop(st);
+        self.ready.notify_all();
+        items
+    }
 }
 
 #[cfg(test)]
@@ -255,13 +287,15 @@ mod tests {
             Request {
                 id: 0,
                 trace: 0,
-                func: func.to_string(),
-                args: Vec::new(),
-                shape_sig: vec![dims.to_vec()],
                 deadline: None,
                 enqueued: Instant::now(),
                 attempt: 0,
-                reply: tx,
+                work: Work::Call {
+                    func: func.to_string(),
+                    args: Vec::new(),
+                    shape_sig: vec![dims.to_vec()],
+                    reply: tx,
+                },
             },
             rx,
         )
@@ -292,7 +326,9 @@ mod tests {
         }
         let b1 = q.pop_batch(8).unwrap();
         assert_eq!(b1.len(), 3); // the three (2, 8) requests ride together
-        assert!(b1.iter().all(|r| r.shape_sig == vec![vec![2, 8]]));
+        assert!(b1
+            .iter()
+            .all(|r| r.batch_key() == Some(("decode", &[vec![2, 8]][..]))));
         let b2 = q.pop_batch(8).unwrap();
         assert_eq!(b2.len(), 2); // then the two (4, 8)
         assert_eq!(q.depth(), 0);
@@ -323,7 +359,7 @@ mod tests {
         match q.push(r) {
             PushOutcome::Refused { req, why } => {
                 assert_eq!(why, PushError::Full);
-                assert_eq!(req.func, "f"); // the request survives refusal
+                assert_eq!(req.batch_key().unwrap().0, "f"); // the request survives refusal
             }
             PushOutcome::Admitted { .. } => panic!("queue should be full"),
         }

@@ -24,17 +24,22 @@
 //!    pre-step lengths (`KvCache::truncate_to`), so no step is ever
 //!    half-applied.
 //!
-//! Workers are persistent threads that contain panics with
-//! `catch_unwind`, rebuild their VMs after a panic, and report typed
-//! step outcomes; the page pool's `allocated == in_use + free`
-//! invariant is preserved through every panic, stall, eviction and
-//! rollback (the chaos harness asserts it).
+//! Steps run on the same supervised worker pool as engine calls
+//! ([`crate::supervisor`]): each step is one work item in the pool's
+//! request queue, and each worker incarnation holds one VM per session
+//! program (decode, prefill, draft, verify — each with its own plan
+//! cache). A step that panics reports `Panicked` to the scheduler and
+//! its incarnation is replaced like any engine worker; wedged workers
+//! are found by heartbeat. Attempts stay with the scheduler's
+//! `max_attempts` — the engine's retry policy never applies to steps.
+//! The page pool's `allocated == in_use + free` invariant is preserved
+//! through every panic, stall, eviction and rollback (the chaos harness
+//! asserts it).
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -47,8 +52,9 @@ use relax_vm::{
     KvPageStats, PlanCacheStats, SharedPlanCache, Value, Vm, VmError, VmErrorKind,
 };
 
-use crate::engine::lock;
-use crate::supervisor::panic_message;
+use crate::engine::{lock, requeue, Core, Program, ServeConfig, ServeError, Ticket};
+use crate::queue::{Request, Work};
+use crate::supervisor::{panic_message, Pool};
 
 /// The compiled model a [`SessionManager`] serves.
 ///
@@ -148,39 +154,6 @@ pub struct SessionOutput {
     pub kv: Option<Vec<NDArray>>,
 }
 
-/// Why a session did not finish.
-#[derive(Debug)]
-pub enum SessionError {
-    /// Evicted under page-pool pressure (earliest deadline first).
-    Evicted,
-    /// The deadline passed before generation finished.
-    DeadlineExceeded,
-    /// The manager shut down first.
-    ShuttingDown,
-    /// The request was malformed (empty prompt).
-    Rejected(String),
-    /// The retry budget was exhausted (repeated worker panics or
-    /// unresolvable pool pressure).
-    RetriesExhausted(String),
-    /// A deterministic VM failure.
-    Vm(VmError),
-}
-
-impl fmt::Display for SessionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SessionError::Evicted => write!(f, "session evicted under page-pool pressure"),
-            SessionError::DeadlineExceeded => write!(f, "session deadline exceeded"),
-            SessionError::ShuttingDown => write!(f, "session manager is shutting down"),
-            SessionError::Rejected(why) => write!(f, "session rejected: {why}"),
-            SessionError::RetriesExhausted(why) => write!(f, "session retries exhausted: {why}"),
-            SessionError::Vm(e) => write!(f, "session failed in the VM: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SessionError {}
-
 /// Tuning and fault-injection knobs for a [`SessionManager`].
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -199,12 +172,12 @@ pub struct SessionConfig {
     pub default_deadline: Duration,
     /// Gather final KV views into every [`SessionOutput`].
     pub return_kv: bool,
-    /// Deterministic fault schedule (chaos testing): VM sites are
-    /// injected into every worker's decode VM, serving sites
-    /// (`WorkerPanic` / `WorkerStall`) fire across the worker pool.
-    pub faults: FaultPlan,
-    /// How long an injected `WorkerStall` sleeps.
-    pub stall: Duration,
+    /// Deterministic fault plans installed on specific workers at
+    /// startup (chaos testing), as in [`ServeConfig::worker_faults`]:
+    /// VM sites go to each of the worker's VMs, serving sites
+    /// (`WorkerPanic` / `WorkerStall`) to its loop. Respawned
+    /// generations carry no faults.
+    pub worker_faults: Vec<(usize, FaultPlan)>,
 }
 
 impl Default for SessionConfig {
@@ -217,14 +190,12 @@ impl Default for SessionConfig {
             max_attempts: 3,
             default_deadline: Duration::from_secs(30),
             return_kv: false,
-            faults: FaultPlan::new(),
-            stall: Duration::from_millis(100),
+            worker_faults: Vec::new(),
         }
     }
 }
 
-/// Monotonic scheduler counters (a consistent-enough snapshot; each
-/// field is individually atomic).
+/// Monotonic scheduler counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Sessions submitted.
@@ -249,7 +220,8 @@ pub struct SessionStats {
     pub tokens: u64,
     /// Pre-step-length rollbacks (after panics or pool pressure).
     pub rollbacks: u64,
-    /// Worker panics contained and healed.
+    /// Steps lost to a worker panic (contained and healed) or to a pool
+    /// with no live worker left.
     pub worker_panics: u64,
     /// Peak pages in use observed at iteration boundaries.
     pub peak_pages_in_use: u64,
@@ -261,99 +233,7 @@ pub struct SessionStats {
     pub spec_accepted: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    retired: AtomicU64,
-    evicted: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    iterations: AtomicU64,
-    prefills: AtomicU64,
-    decodes: AtomicU64,
-    tokens: AtomicU64,
-    rollbacks: AtomicU64,
-    worker_panics: AtomicU64,
-    peak_pages_in_use: AtomicU64,
-    speculations: AtomicU64,
-    spec_proposed: AtomicU64,
-    spec_accepted: AtomicU64,
-}
-
-impl Counters {
-    fn bump(field: &AtomicU64) {
-        field.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn peak(&self, in_use: u64) {
-        self.peak_pages_in_use
-            .fetch_max(in_use, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> SessionStats {
-        SessionStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            retired: self.retired.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            iterations: self.iterations.load(Ordering::Relaxed),
-            prefills: self.prefills.load(Ordering::Relaxed),
-            decodes: self.decodes.load(Ordering::Relaxed),
-            tokens: self.tokens.load(Ordering::Relaxed),
-            rollbacks: self.rollbacks.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            peak_pages_in_use: self.peak_pages_in_use.load(Ordering::Relaxed),
-            speculations: self.speculations.load(Ordering::Relaxed),
-            spec_proposed: self.spec_proposed.load(Ordering::Relaxed),
-            spec_accepted: self.spec_accepted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-type SessionResult = Result<SessionOutput, SessionError>;
-type SessionSlot = Arc<(Mutex<Option<SessionResult>>, Condvar)>;
-
-/// A handle to one submitted session.
-pub struct SessionTicket {
-    id: u64,
-    slot: SessionSlot,
-}
-
-impl SessionTicket {
-    /// The scheduler-assigned session id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Blocks until the session resolves.
-    pub fn wait(self) -> SessionResult {
-        let (m, cv) = &*self.slot;
-        let mut g = lock(m);
-        loop {
-            if let Some(r) = g.take() {
-                return r;
-            }
-            g = cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Returns the result if the session already resolved.
-    pub fn try_wait(&self) -> Option<SessionResult> {
-        lock(&self.slot.0).take()
-    }
-}
-
-fn resolve(slot: &SessionSlot, result: SessionResult) {
-    let (m, cv) = &**slot;
-    let mut g = lock(m);
-    if g.is_none() {
-        *g = Some(result);
-    }
-    cv.notify_all();
-}
+type SessionResult = Result<SessionOutput, ServeError>;
 
 /// What one dispatched step asks a worker to do.
 enum StepKind {
@@ -364,29 +244,36 @@ enum StepKind {
     Decode(i64),
     /// Speculate: catch the draft cache up on `draft_feed` (the
     /// committed tokens it has not seen, ending with the next input
-    /// token), propose `lookahead` draft tokens, verify them in one
-    /// multi-token feed, and commit the agreed prefix.
+    /// token, which sits at position `fed`), propose `lookahead` draft
+    /// tokens, verify them in one multi-token feed, and commit the
+    /// agreed prefix.
     Speculate {
         draft_feed: Vec<i64>,
+        fed: usize,
         lookahead: usize,
     },
+}
+
+/// The session model as the pool runs it: the spec plus the index of
+/// each program's VM in a worker's VM list (decode is always 0).
+struct StepModel {
+    spec: SessionModelSpec,
+    prefill: Option<usize>,
+    draft: Option<usize>,
+    verify: Option<usize>,
 }
 
 struct Job {
     session: u64,
     kind: StepKind,
     cache: KvCache,
-    /// Per-stream lengths before this step; the scheduler rolls the
-    /// cache back to these on any failure so no step is half-applied.
-    pre_lens: Vec<usize>,
-    /// The session's draft cache (speculative decoding only) and its
-    /// pre-step lengths, rolled back together with the main cache.
+    /// The session's draft cache (speculative decoding only).
     draft: Option<KvCache>,
-    draft_pre_lens: Vec<usize>,
     /// The session's async span, so worker-side step spans (and the
     /// kernel spans the VM opens under them) nest session → step →
     /// kernel.
     parent: relax_trace::SpanId,
+    model: Arc<StepModel>,
 }
 
 enum StepOutcome {
@@ -404,22 +291,55 @@ enum StepOutcome {
     },
     /// The page pool refused an acquire (retryable after eviction).
     PoolExhausted(String),
-    /// The worker panicked mid-step and healed itself.
+    /// The worker panicked mid-step (and was replaced), or the step was
+    /// lost with no worker left to run it.
     Panicked(String),
     /// A deterministic VM failure.
     Failed(VmError),
 }
 
-struct JobResult {
-    session: u64,
-    pre_lens: Vec<usize>,
-    draft_pre_lens: Vec<usize>,
-    outcome: StepOutcome,
+/// One session step as a work item of the pool: the job and where its
+/// outcome goes. Each path through the pool (run, or abandoned with no
+/// worker left) reports exactly once, and only after the job — with its
+/// KV-cache handles — is dropped.
+pub(crate) struct Step {
+    job: Job,
+    reply: Sender<(u64, StepOutcome)>,
 }
 
-struct JobQueue {
-    q: Mutex<VecDeque<Job>>,
-    cv: Condvar,
+impl Step {
+    /// Runs the step on a worker's VMs under panic containment. Returns
+    /// the panic message when the step panicked; the caller's VMs may be
+    /// poisoned then.
+    pub(crate) fn run(self, vms: &mut [Vm], faults: &mut FaultInjector) -> Option<String> {
+        match panic::catch_unwind(AssertUnwindSafe(|| run_step(vms, &self.job, faults))) {
+            Ok(outcome) => {
+                self.report(outcome);
+                None
+            }
+            Err(payload) => {
+                let message = panic_message(payload);
+                self.report(StepOutcome::Panicked(message.clone()));
+                Some(message)
+            }
+        }
+    }
+
+    /// Resolves a step that will not run (no live worker left).
+    pub(crate) fn abandon(self, err: &ServeError) {
+        self.report(StepOutcome::Panicked(err.to_string()));
+    }
+
+    /// Drops the job — and with it the worker's KV-cache handles —
+    /// *before* publishing the outcome: once the scheduler has every
+    /// result of an iteration, no worker-side cache clone can pin pages,
+    /// so eviction decisions see the true pool occupancy.
+    fn report(self, outcome: StepOutcome) {
+        let Step { job, reply } = self;
+        let session = job.session;
+        drop(job);
+        let _ = reply.send((session, outcome));
+    }
 }
 
 /// One live session inside the scheduler.
@@ -429,12 +349,17 @@ struct Session {
     max_new: usize,
     deadline: Instant,
     submitted: Instant,
-    slot: SessionSlot,
+    reply: Sender<SessionResult>,
     cache: KvCache,
     /// Draft-model cache on the same shared pool (speculative only).
     draft: Option<KvCache>,
     /// Prompt/generated tokens already consumed by the model.
     fed: usize,
+    /// Per-stream lengths of the main and draft cache when the current
+    /// step was dispatched; any failure rolls the caches back to these,
+    /// so no step is half-applied.
+    pre_lens: Vec<usize>,
+    draft_pre_lens: Vec<usize>,
     generated: Vec<i64>,
     /// Consecutive failed attempts at the current step.
     attempts: u32,
@@ -467,14 +392,14 @@ struct PendingSession {
     id: u64,
     request: SessionRequest,
     submitted: Instant,
-    slot: SessionSlot,
+    reply: Sender<SessionResult>,
 }
 
 struct Shared {
     pending: Mutex<VecDeque<PendingSession>>,
     wake: Condvar,
     stopping: AtomicBool,
-    counters: Counters,
+    stats: Mutex<SessionStats>,
     pool: Arc<KvPagePool>,
     /// Wall time of each scheduler iteration, nanoseconds.
     iteration_ns: Mutex<Vec<u64>>,
@@ -485,21 +410,20 @@ struct Shared {
 /// Continuous-batching scheduler over paged KV caches.
 ///
 /// See the module docs for the iteration loop. Construction spawns the
-/// scheduler and worker threads; [`SessionManager::shutdown`] (or drop)
-/// resolves everything still queued with
-/// [`SessionError::ShuttingDown`] and joins them.
+/// scheduler thread and a supervised worker pool;
+/// [`SessionManager::shutdown`] (or drop) resolves everything still
+/// queued with [`ServeError::ShuttingDown`] and joins them.
 pub struct SessionManager {
     shared: Arc<Shared>,
-    jobs: Arc<JobQueue>,
     next_id: AtomicU64,
     scheduler: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Pool,
     draft_plans: SharedPlanCache,
     verify_plans: SharedPlanCache,
 }
 
 impl SessionManager {
-    /// Spawns the scheduler and `config.workers` worker threads.
+    /// Spawns the scheduler and a pool of `config.workers` workers.
     pub fn new(spec: SessionModelSpec, config: SessionConfig) -> Self {
         let pool = Arc::new(KvPagePool::with_capacity(
             config.page_tokens,
@@ -509,97 +433,90 @@ impl SessionManager {
             pending: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             stopping: AtomicBool::new(false),
-            counters: Counters::default(),
+            stats: Mutex::new(SessionStats::default()),
             pool: pool.clone(),
             iteration_ns: Mutex::new(Vec::new()),
             completion_ns: Mutex::new(Vec::new()),
         });
-        let jobs = Arc::new(JobQueue {
-            q: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
+
+        // One program per executable, each with its own plan cache.
+        let mut programs = Vec::new();
+        let mut add = |exec: &Arc<Executable>, plans: SharedPlanCache| {
+            programs.push(Program {
+                exec: exec.clone(),
+                plans,
+            });
+            programs.len() - 1
+        };
+        add(&spec.decode, SharedPlanCache::new(64));
+        let prefill = spec
+            .prefill
+            .as_ref()
+            .map(|exec| add(exec, SharedPlanCache::new(64)));
+        let draft_plans = SharedPlanCache::new(64);
+        let verify_plans = SharedPlanCache::new(64);
+        let (draft, verify) = match &spec.speculative {
+            Some(sp) => (
+                Some(add(&sp.draft, draft_plans.clone())),
+                Some(add(&sp.verify, verify_plans.clone())),
+            ),
+            None => (None, None),
+        };
+        let model = Arc::new(StepModel {
+            spec,
+            prefill,
+            draft,
+            verify,
         });
-        let (tx, rx) = channel::<JobResult>();
+        // Each running session has at most one step in flight, so the
+        // queue never refuses one.
+        let serve = ServeConfig {
+            workers: config.workers,
+            queue_capacity: config.max_running.max(1),
+            max_batch: 1,
+            worker_faults: config.worker_faults.clone(),
+            ..ServeConfig::default()
+        };
+        let workers = Pool::start(&serve, programs, Arc::new(Registry::new()), Some(pool));
 
-        let registry = Arc::new(Registry::new());
-        let decode_cache = SharedPlanCache::new(64);
-        let prefill_cache = SharedPlanCache::new(64);
-        let draft_cache = SharedPlanCache::new(64);
-        let verify_cache = SharedPlanCache::new(64);
-        let (vm_plan, serve_plan) = config.faults.clone().split_serving();
-        let serve_faults = Arc::new(Mutex::new(FaultInjector::new(serve_plan)));
-        let spec = Arc::new(spec);
-
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
-            let ctx = WorkerCtx {
-                spec: spec.clone(),
-                registry: registry.clone(),
-                decode_cache: decode_cache.clone(),
-                prefill_cache: prefill_cache.clone(),
-                draft_cache: draft_cache.clone(),
-                verify_cache: verify_cache.clone(),
-                pool: pool.clone(),
-                vm_plan: vm_plan.clone(),
-                serve_faults: serve_faults.clone(),
-                stall: config.stall,
-                shared: shared.clone(),
-                jobs: jobs.clone(),
-                results: tx.clone(),
-            };
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("relax-session-worker-{i}"))
-                    .spawn(move || worker_loop(ctx))
-                    .expect("spawn session worker"),
-            );
-        }
-        drop(tx);
-
-        let sched_shared = shared.clone();
-        let sched_jobs = jobs.clone();
-        let sched_config = config.clone();
-        let sched_spec = spec;
         let scheduler = thread::Builder::new()
             .name("relax-session-scheduler".into())
-            .spawn(move || scheduler_loop(sched_shared, sched_jobs, rx, sched_spec, sched_config))
+            .spawn({
+                let shared = shared.clone();
+                let core = workers.core.clone();
+                move || scheduler_loop(shared, core, model, config)
+            })
             .expect("spawn session scheduler");
 
         SessionManager {
             shared,
-            jobs,
             next_id: AtomicU64::new(0),
             scheduler: Some(scheduler),
             workers,
-            draft_plans: draft_cache,
-            verify_plans: verify_cache,
+            draft_plans,
+            verify_plans,
         }
     }
 
     /// Submits a session; the ticket resolves when it retires, is
     /// evicted, shed, or fails.
-    pub fn submit(&self, request: SessionRequest) -> SessionTicket {
+    pub fn submit(&self, request: SessionRequest) -> Ticket<SessionOutput> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot: SessionSlot = Arc::new((Mutex::new(None), Condvar::new()));
-        if self.shared.stopping.load(Ordering::Acquire) {
-            resolve(&slot, Err(SessionError::ShuttingDown));
-            return SessionTicket { id, slot };
-        }
-        Counters::bump(&self.shared.counters.submitted);
-        let mut pending = lock(&self.shared.pending);
-        pending.push_back(PendingSession {
+        let (reply, rx) = mpsc::channel();
+        lock(&self.shared.stats).submitted += 1;
+        lock(&self.shared.pending).push_back(PendingSession {
             id,
             request,
             submitted: Instant::now(),
-            slot: slot.clone(),
+            reply,
         });
-        drop(pending);
         self.shared.wake.notify_all();
-        SessionTicket { id, slot }
+        Ticket::new(rx)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> SessionStats {
-        self.shared.counters.snapshot()
+        *lock(&self.shared.stats)
     }
 
     /// The shared page pool (tests assert its accounting reconciles).
@@ -633,26 +550,23 @@ impl SessionManager {
         lock(&self.shared.completion_ns).clone()
     }
 
+    /// Stops the scheduler (it finishes its iteration first, so no step
+    /// is in flight), then the worker pool.
     fn stop(&mut self) {
         self.shared.stopping.store(true, Ordering::Release);
         self.shared.wake.notify_all();
-        self.jobs.cv.notify_all();
         if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
-        // The scheduler is gone; make sure idle workers see `stopping`.
-        self.jobs.cv.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.workers.stop();
     }
 
     /// Stops the scheduler and workers (pending and running sessions
-    /// resolve with [`SessionError::ShuttingDown`]) and returns the
+    /// resolve with [`ServeError::ShuttingDown`]) and returns the
     /// final counters.
     pub fn shutdown(mut self) -> SessionStats {
         self.stop();
-        self.shared.counters.snapshot()
+        self.stats()
     }
 }
 
@@ -665,62 +579,6 @@ impl Drop for SessionManager {
 // ---------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------
-
-struct WorkerCtx {
-    spec: Arc<SessionModelSpec>,
-    registry: Arc<Registry>,
-    decode_cache: SharedPlanCache,
-    prefill_cache: SharedPlanCache,
-    draft_cache: SharedPlanCache,
-    verify_cache: SharedPlanCache,
-    pool: Arc<KvPagePool>,
-    vm_plan: FaultPlan,
-    serve_faults: Arc<Mutex<FaultInjector>>,
-    stall: Duration,
-    shared: Arc<Shared>,
-    jobs: Arc<JobQueue>,
-    results: Sender<JobResult>,
-}
-
-struct WorkerVms {
-    decode: Vm,
-    prefill: Option<Vm>,
-    draft: Option<Vm>,
-    verify: Option<Vm>,
-}
-
-fn build_vms(ctx: &WorkerCtx) -> WorkerVms {
-    let mut decode = Vm::from_parts(
-        ctx.spec.decode.clone(),
-        ctx.registry.clone(),
-        ctx.decode_cache.clone(),
-    );
-    decode.set_kv_pool(ctx.pool.clone());
-    decode.inject_faults(ctx.vm_plan.clone());
-    let prefill = ctx.spec.prefill.as_ref().map(|exec| {
-        let mut vm = Vm::from_parts(exec.clone(), ctx.registry.clone(), ctx.prefill_cache.clone());
-        vm.set_kv_pool(ctx.pool.clone());
-        vm
-    });
-    let (draft, verify) = match ctx.spec.speculative.as_ref() {
-        Some(sp) => {
-            let mut d = Vm::from_parts(sp.draft.clone(), ctx.registry.clone(), ctx.draft_cache.clone());
-            d.set_kv_pool(ctx.pool.clone());
-            let mut v =
-                Vm::from_parts(sp.verify.clone(), ctx.registry.clone(), ctx.verify_cache.clone());
-            v.set_kv_pool(ctx.pool.clone());
-            v.inject_faults(ctx.vm_plan.clone());
-            (Some(d), Some(v))
-        }
-        None => (None, None),
-    };
-    WorkerVms {
-        decode,
-        prefill,
-        draft,
-        verify,
-    }
-}
 
 /// Classifies a VM error: page-pool exhaustion is retryable after the
 /// scheduler frees pages; everything else is deterministic.
@@ -783,21 +641,25 @@ fn corrupt(spec: &SpeculativeSpec, session: u64, pos: usize, token: i64) -> i64 
 /// multi-token verify feed on the session cache, the commit loop, and
 /// the `truncate_to` rollback of both caches to the committed prefix.
 fn run_speculate(
-    vms: &mut WorkerVms,
-    ctx: &WorkerCtx,
+    vms: &mut [Vm],
     job: &Job,
+    faults: &mut FaultInjector,
     draft_feed: &[i64],
+    fed: usize,
     lookahead: usize,
 ) -> StepOutcome {
-    let spec = ctx
+    let model = &*job.model;
+    let spec = model
         .spec
         .speculative
         .as_ref()
         .expect("speculate step without a speculative spec");
-    let draft_cache = job.draft.as_ref().expect("speculate step without draft cache");
-    let draft_vm = vms.draft.as_mut().expect("speculate step without draft VM");
+    let draft_cache = job
+        .draft
+        .as_ref()
+        .expect("speculate step without draft cache");
+    let draft_vm = &mut vms[model.draft.expect("speculate step without draft VM")];
     let k = lookahead.max(1);
-    let fed = job.pre_lens.first().copied().unwrap_or(0);
 
     // Draft phase: feed the tokens the draft cache is missing, then
     // its own proposals; every feed past the catch-up prefix yields the
@@ -836,10 +698,10 @@ fn run_speculate(
     // Mid-verify fault window: a stall or panic here leaves the draft
     // cache extended but the verify cache untouched — exactly the
     // half-speculated state the rollback path must absorb.
-    if let Some(fired) = lock(&ctx.serve_faults).check(FaultSite::WorkerStall) {
-        thread::sleep(fired.stall.unwrap_or(ctx.stall));
+    if let Some(fired) = faults.check(FaultSite::WorkerStall) {
+        thread::sleep(fired.stall.unwrap_or_default());
     }
-    if lock(&ctx.serve_faults).check(FaultSite::WorkerPanic).is_some() {
+    if faults.check(FaultSite::WorkerPanic).is_some() {
         panic!("injected worker panic");
     }
 
@@ -852,8 +714,8 @@ fn run_speculate(
     let t = NDArray::from_i64(&[1, window.len()], DataType::I64, window.clone())
         .expect("verify token tensor");
     let mut args = vec![Value::Tensor(t), Value::KvCache(job.cache.clone())];
-    args.extend(ctx.spec.weights.iter().cloned());
-    let verify_vm = vms.verify.as_mut().expect("speculate step without verify VM");
+    args.extend(model.spec.weights.iter().cloned());
+    let verify_vm = &mut vms[model.verify.expect("speculate step without verify VM")];
     let logits = match verify_vm.run(&spec.verify_func, &args) {
         Ok(out) => match out.as_tuple().and_then(|items| items.first()) {
             Some(Value::Tensor(l)) => l.clone(),
@@ -891,7 +753,7 @@ fn run_speculate(
 
     // Roll the rejected tail off both paged caches.
     let keep = fed + 1 + accepted as usize;
-    let lens = vec![keep; job.pre_lens.len()];
+    let lens = vec![keep; job.cache.lens().len()];
     if let Err(e) = job.cache.truncate_to(&lens) {
         return classify(VmError::new(VmErrorKind::Kernel(e)));
     }
@@ -906,11 +768,13 @@ fn run_speculate(
     }
 }
 
-/// Runs one step body. Called inside `catch_unwind`; an injected
-/// `WorkerPanic` fault fires *after* the VM ran — the appends have
-/// landed, the report is lost — which is exactly the mid-iteration
-/// crash the rollback path must absorb.
-fn run_step(vms: &mut WorkerVms, ctx: &WorkerCtx, job: &Job) -> StepOutcome {
+/// Runs one step body on a worker's VMs. Called inside `catch_unwind`
+/// (an injected `WorkerStall` already fired in the worker loop); an
+/// injected `WorkerPanic` fault fires *after* the VM ran — the appends
+/// have landed, the report is lost — which is exactly the
+/// mid-iteration crash the rollback path must absorb.
+fn run_step(vms: &mut [Vm], job: &Job, faults: &mut FaultInjector) -> StepOutcome {
+    let model = &*job.model;
     let sp = relax_trace::span_under("serve", Some(job.parent), || match &job.kind {
         StepKind::Prefill(tokens) => format!("prefill:{}", tokens.len()),
         StepKind::Decode(_) => "decode".to_string(),
@@ -920,17 +784,14 @@ fn run_step(vms: &mut WorkerVms, ctx: &WorkerCtx, job: &Job) -> StepOutcome {
         StepKind::Prefill(_) => relax_trace::SessionPhase::Prefill,
         StepKind::Decode(_) | StepKind::Speculate { .. } => relax_trace::SessionPhase::Decode,
     };
-    if let Some(fired) = lock(&ctx.serve_faults).check(FaultSite::WorkerStall) {
-        thread::sleep(fired.stall.unwrap_or(ctx.stall));
-    }
     let outcome = match &job.kind {
         StepKind::Prefill(tokens) => {
             let t = NDArray::from_i64(&[1, tokens.len()], DataType::I64, tokens.clone())
                 .expect("prefill token tensor");
             let mut args = vec![Value::Tensor(t)];
-            args.extend(ctx.spec.weights.iter().cloned());
-            let vm = vms.prefill.as_mut().expect("prefill job without prefill VM");
-            match vm.run(&ctx.spec.prefill_func, &args) {
+            args.extend(model.spec.weights.iter().cloned());
+            let vm = &mut vms[model.prefill.expect("prefill job without prefill VM")];
+            match vm.run(&model.spec.prefill_func, &args) {
                 Ok(out) => {
                     let items = match out.as_tuple() {
                         Some(items) => items.to_vec(),
@@ -964,8 +825,8 @@ fn run_step(vms: &mut WorkerVms, ctx: &WorkerCtx, job: &Job) -> StepOutcome {
             let t = NDArray::from_i64(&[1, 1], DataType::I64, vec![*token])
                 .expect("decode token tensor");
             let mut args = vec![Value::Tensor(t), Value::KvCache(job.cache.clone())];
-            args.extend(ctx.spec.weights.iter().cloned());
-            match vms.decode.run(&ctx.spec.decode_func, &args) {
+            args.extend(model.spec.weights.iter().cloned());
+            match vms[0].run(&model.spec.decode_func, &args) {
                 Ok(out) => match out.as_tuple().and_then(|items| items.first()) {
                     Some(Value::Tensor(logits)) => StepOutcome::Decoded(argmax(logits)),
                     _ => StepOutcome::Failed(VmError::new(VmErrorKind::TypeMismatch {
@@ -978,116 +839,77 @@ fn run_step(vms: &mut WorkerVms, ctx: &WorkerCtx, job: &Job) -> StepOutcome {
         }
         StepKind::Speculate {
             draft_feed,
+            fed,
             lookahead,
-        } => run_speculate(vms, ctx, job, draft_feed, *lookahead),
+        } => run_speculate(vms, job, faults, draft_feed, *fed, *lookahead),
     };
     sp.finish_with(|| relax_trace::Payload::Session {
         session: job.session,
         phase,
     });
-    if lock(&ctx.serve_faults).check(FaultSite::WorkerPanic).is_some() {
+    if faults.check(FaultSite::WorkerPanic).is_some() {
         panic!("injected worker panic");
     }
     outcome
-}
-
-fn worker_loop(ctx: WorkerCtx) {
-    let mut vms = build_vms(&ctx);
-    loop {
-        let job = {
-            let mut q = lock(&ctx.jobs.q);
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                if ctx.shared.stopping.load(Ordering::Acquire) {
-                    return;
-                }
-                q = ctx.jobs.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let session = job.session;
-        let pre_lens = job.pre_lens.clone();
-        let draft_pre_lens = job.draft_pre_lens.clone();
-        let outcome =
-            match panic::catch_unwind(AssertUnwindSafe(|| run_step(&mut vms, &ctx, &job))) {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    Counters::bump(&ctx.shared.counters.worker_panics);
-                    // Heal: a panic may have left the VMs' internal
-                    // state inconsistent, so rebuild them in place.
-                    vms = build_vms(&ctx);
-                    StepOutcome::Panicked(panic_message(payload))
-                }
-            };
-        // Drop the job — and with it this worker's KV-cache handle —
-        // *before* publishing the result. Once the scheduler has
-        // received every result of an iteration, no worker-side cache
-        // clone can pin pages, so eviction decisions see the true pool
-        // occupancy. (Dropping after `send` leaves a window where a
-        // preempted worker starves the pool through an entire retry
-        // budget on a loaded host.)
-        drop(job);
-        if ctx
-            .results
-            .send(JobResult {
-                session,
-                pre_lens,
-                draft_pre_lens,
-                outcome,
-            })
-            .is_err()
-        {
-            return; // Scheduler is gone.
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
 // Scheduler side
 // ---------------------------------------------------------------------
 
-fn finish(
-    shared: &Shared,
-    s: Session,
-    result: SessionResult,
-    phase: relax_trace::SessionPhase,
-    counter: &AtomicU64,
-) {
-    Counters::bump(counter);
+/// Resolves a running session, counting it by its outcome; dropping the
+/// session drops its cache handles, which releases its pages.
+fn finish(shared: &Shared, s: Session, result: SessionResult) {
+    let phase = {
+        let mut st = lock(&shared.stats);
+        match &result {
+            Ok(_) => {
+                st.retired += 1;
+                relax_trace::SessionPhase::Retire
+            }
+            Err(ServeError::Evicted) => {
+                st.evicted += 1;
+                relax_trace::SessionPhase::Evict
+            }
+            Err(ServeError::DeadlineExceeded { .. }) => {
+                st.shed += 1;
+                relax_trace::SessionPhase::Fail
+            }
+            Err(_) => {
+                st.failed += 1;
+                relax_trace::SessionPhase::Fail
+            }
+        }
+    };
     lock(&shared.completion_ns).push(s.submitted.elapsed().as_nanos() as u64);
-    relax_trace::async_end("serve", "session", s.span, || relax_trace::Payload::Session {
-        session: s.id,
-        phase,
+    relax_trace::async_end("serve", "session", s.span, || {
+        relax_trace::Payload::Session {
+            session: s.id,
+            phase,
+        }
     });
-    resolve(&s.slot, result);
-    // Dropping the session drops its cache handle, which releases its
-    // pages back to the pool.
+    let _ = s.reply.send(result);
 }
 
 fn scheduler_loop(
     shared: Arc<Shared>,
-    jobs: Arc<JobQueue>,
-    results: Receiver<JobResult>,
-    spec: Arc<SessionModelSpec>,
+    core: Arc<Core>,
+    model: Arc<StepModel>,
     config: SessionConfig,
 ) {
+    let spec = &model.spec;
+    // Every step carries a clone of `tx`; the scheduler keeps one, so
+    // `recv` never sees a disconnect — each step reports exactly once.
+    let (tx, results) = mpsc::channel::<(u64, StepOutcome)>();
     let mut running: Vec<Session> = Vec::new();
     loop {
         if shared.stopping.load(Ordering::Acquire) {
             for s in running.drain(..) {
-                finish(
-                    &shared,
-                    s,
-                    Err(SessionError::ShuttingDown),
-                    relax_trace::SessionPhase::Fail,
-                    &shared.counters.failed,
-                );
+                finish(&shared, s, Err(ServeError::ShuttingDown));
             }
-            let mut pending = lock(&shared.pending);
-            for p in pending.drain(..) {
-                resolve(&p.slot, Err(SessionError::ShuttingDown));
-                Counters::bump(&shared.counters.failed);
+            for p in lock(&shared.pending).drain(..) {
+                let _ = p.reply.send(Err(ServeError::ShuttingDown));
+                lock(&shared.stats).failed += 1;
             }
             return;
         }
@@ -1098,7 +920,7 @@ fn scheduler_loop(
             while running.len() < config.max_running.max(1) {
                 let Some(p) = pending.pop_front() else { break };
                 drop(pending);
-                admit(&shared, &spec, &config, &mut running, p);
+                admit(&shared, spec, &config, &mut running, p);
                 pending = lock(&shared.pending);
             }
             // Nothing to do: sleep until a submit or shutdown wakes us.
@@ -1118,13 +940,8 @@ fn scheduler_loop(
         while i < running.len() {
             if now >= running[i].deadline {
                 let s = running.swap_remove(i);
-                finish(
-                    &shared,
-                    s,
-                    Err(SessionError::DeadlineExceeded),
-                    relax_trace::SessionPhase::Fail,
-                    &shared.counters.shed,
-                );
+                let missed_by = now - s.deadline;
+                finish(&shared, s, Err(ServeError::DeadlineExceeded { missed_by }));
             } else {
                 i += 1;
             }
@@ -1137,96 +954,82 @@ fn scheduler_loop(
         // interleave within the iteration) and collect every result.
         let iter_span = relax_trace::span("serve", || format!("iteration:{}", running.len()));
         let started = Instant::now();
-        let mut dispatched = 0usize;
-        {
-            let mut q = lock(&jobs.q);
-            for s in &running {
-                let kind = if s.fed == 0 && s.prompt.len() > 1 && spec.prefill.is_some() {
-                    StepKind::Prefill(s.prompt[..s.prompt.len() - 1].to_vec())
-                } else if let Some(sp) = spec.speculative.as_ref().filter(|_| {
-                    // Speculate only once every remaining feed produces
-                    // a model-chosen token; teacher-forced prompt
-                    // tokens go through plain decode.
-                    s.fed + 1 >= s.prompt.len()
-                }) {
-                    let d = s
-                        .draft
-                        .as_ref()
-                        .and_then(|c| c.lens().first().copied())
-                        .unwrap_or(0);
-                    StepKind::Speculate {
-                        draft_feed: (d..=s.fed).map(|p| s.token_at(p)).collect(),
-                        lookahead: sp.lookahead.max(1),
-                    }
-                } else {
-                    StepKind::Decode(s.next_token())
-                };
-                q.push_back(Job {
+        for s in &mut running {
+            s.pre_lens = s.cache.lens();
+            s.draft_pre_lens = s.draft.as_ref().map(|c| c.lens()).unwrap_or_default();
+            let kind = if s.fed == 0 && s.prompt.len() > 1 && spec.prefill.is_some() {
+                StepKind::Prefill(s.prompt[..s.prompt.len() - 1].to_vec())
+            } else if let Some(sp) = spec.speculative.as_ref().filter(|_| {
+                // Speculate only once every remaining feed produces
+                // a model-chosen token; teacher-forced prompt
+                // tokens go through plain decode.
+                s.fed + 1 >= s.prompt.len()
+            }) {
+                let d = s
+                    .draft
+                    .as_ref()
+                    .and_then(|c| c.lens().first().copied())
+                    .unwrap_or(0);
+                StepKind::Speculate {
+                    draft_feed: (d..=s.fed).map(|p| s.token_at(p)).collect(),
+                    fed: s.fed,
+                    lookahead: sp.lookahead.max(1),
+                }
+            } else {
+                StepKind::Decode(s.next_token())
+            };
+            let step = Step {
+                job: Job {
                     session: s.id,
                     kind,
                     cache: s.cache.clone(),
-                    pre_lens: s.cache.lens(),
                     draft: s.draft.clone(),
-                    draft_pre_lens: s.draft.as_ref().map(|c| c.lens()).unwrap_or_default(),
                     parent: s.span,
-                });
-                dispatched += 1;
-            }
+                    model: model.clone(),
+                },
+                reply: tx.clone(),
+            };
+            requeue(
+                &core,
+                Request {
+                    id: 0,
+                    trace: 0,
+                    deadline: None,
+                    enqueued: started,
+                    attempt: 0,
+                    work: Work::Step(step),
+                },
+            );
         }
-        jobs.cv.notify_all();
-
-        let mut outcomes: HashMap<u64, JobResult> = HashMap::with_capacity(dispatched);
-        for _ in 0..dispatched {
-            match results.recv() {
-                Ok(r) => {
-                    outcomes.insert(r.session, r);
-                }
-                Err(_) => break, // All workers died; shutdown path handles it.
-            }
-        }
-        Counters::bump(&shared.counters.iterations);
+        let mut outcomes: HashMap<u64, StepOutcome> = results.iter().take(running.len()).collect();
+        lock(&shared.stats).iterations += 1;
         lock(&shared.iteration_ns).push(started.elapsed().as_nanos() as u64);
 
         // Advance, retire, retry or fail each session.
         let mut pressure = false;
         let mut i = 0;
         while i < running.len() {
-            let id = running[i].id;
-            let Some(result) = outcomes.remove(&id) else {
+            let s = &mut running[i];
+            let Some(outcome) = outcomes.remove(&s.id) else {
                 i += 1;
                 continue;
             };
-            let s = &mut running[i];
-            let mut remove: Option<(SessionResult, relax_trace::SessionPhase, bool)> = None;
-            match result.outcome {
+            let mut st = lock(&shared.stats);
+            let mut end: Option<SessionResult> = None;
+            let mut retry: Option<String> = None;
+            match outcome {
                 StepOutcome::Prefilled(fed) => {
                     s.attempts = 0;
                     s.fed = fed;
-                    Counters::bump(&shared.counters.prefills);
+                    st.prefills += 1;
                 }
                 StepOutcome::Decoded(next) => {
                     s.attempts = 0;
                     s.fed += 1;
-                    Counters::bump(&shared.counters.decodes);
+                    st.decodes += 1;
                     if s.fed >= s.prompt.len() {
                         s.generated.push(next);
-                        Counters::bump(&shared.counters.tokens);
-                    }
-                    if s.done() {
-                        let kv = if config.return_kv {
-                            gather_kv(&s.cache)
-                        } else {
-                            None
-                        };
-                        remove = Some((
-                            Ok(SessionOutput {
-                                session: s.id,
-                                tokens: std::mem::take(&mut s.generated),
-                                kv,
-                            }),
-                            relax_trace::SessionPhase::Retire,
-                            true,
-                        ));
+                        st.tokens += 1;
                     }
                 }
                 StepOutcome::Speculated {
@@ -1235,24 +1038,14 @@ fn scheduler_loop(
                     accepted,
                 } => {
                     s.attempts = 0;
-                    Counters::bump(&shared.counters.speculations);
-                    shared
-                        .counters
-                        .spec_proposed
-                        .fetch_add(proposed, Ordering::Relaxed);
-                    shared
-                        .counters
-                        .spec_accepted
-                        .fetch_add(accepted, Ordering::Relaxed);
-                    let mut pushed = 0usize;
-                    for tok in &committed {
-                        if s.done() {
-                            break;
-                        }
-                        s.generated.push(*tok);
-                        Counters::bump(&shared.counters.tokens);
-                        pushed += 1;
-                    }
+                    st.speculations += 1;
+                    st.spec_proposed += proposed;
+                    st.spec_accepted += accepted;
+                    let pushed = committed
+                        .len()
+                        .min(s.max_new.saturating_sub(s.generated.len()));
+                    s.generated.extend_from_slice(&committed[..pushed]);
+                    st.tokens += pushed as u64;
                     s.fed += pushed;
                     if pushed < committed.len() {
                         // The budget filled mid-batch: shed the
@@ -1267,65 +1060,44 @@ fn scheduler_loop(
                             let _ = d.truncate_to(&dk);
                         }
                     }
-                    if s.done() {
-                        let kv = if config.return_kv {
-                            gather_kv(&s.cache)
-                        } else {
-                            None
-                        };
-                        remove = Some((
-                            Ok(SessionOutput {
-                                session: s.id,
-                                tokens: std::mem::take(&mut s.generated),
-                                kv,
-                            }),
-                            relax_trace::SessionPhase::Retire,
-                            true,
-                        ));
-                    }
                 }
-                StepOutcome::PoolExhausted(detail) => {
-                    rollback(&shared, s, &result.pre_lens, &result.draft_pre_lens);
-                    s.attempts += 1;
+                StepOutcome::PoolExhausted(why) => {
                     pressure = true;
-                    if s.attempts > config.max_attempts {
-                        remove = Some((
-                            Err(SessionError::RetriesExhausted(detail)),
-                            relax_trace::SessionPhase::Fail,
-                            false,
-                        ));
-                    }
+                    retry = Some(why);
                 }
-                StepOutcome::Panicked(msg) => {
-                    rollback(&shared, s, &result.pre_lens, &result.draft_pre_lens);
-                    s.attempts += 1;
-                    if s.attempts > config.max_attempts {
-                        remove = Some((
-                            Err(SessionError::RetriesExhausted(msg)),
-                            relax_trace::SessionPhase::Fail,
-                            false,
-                        ));
-                    }
+                StepOutcome::Panicked(why) => {
+                    st.worker_panics += 1;
+                    retry = Some(why);
                 }
                 StepOutcome::Failed(e) => {
-                    rollback(&shared, s, &result.pre_lens, &result.draft_pre_lens);
-                    remove = Some((
-                        Err(SessionError::Vm(e)),
-                        relax_trace::SessionPhase::Fail,
-                        false,
-                    ));
+                    st.rollbacks += 1;
+                    rollback(s);
+                    end = Some(Err(ServeError::Vm(e)));
                 }
             }
-            match remove {
-                Some((result, phase, retired)) => {
-                    let s = running.swap_remove(i);
-                    let counter = if retired {
-                        &shared.counters.retired
-                    } else {
-                        &shared.counters.failed
-                    };
-                    finish(&shared, s, result, phase, counter);
+            if let Some(why) = retry {
+                st.rollbacks += 1;
+                rollback(s);
+                s.attempts += 1;
+                if s.attempts > config.max_attempts {
+                    end = Some(Err(ServeError::RetriesExhausted(why)));
                 }
+            }
+            drop(st);
+            if end.is_none() && s.done() {
+                let kv = if config.return_kv {
+                    gather_kv(&s.cache)
+                } else {
+                    None
+                };
+                end = Some(Ok(SessionOutput {
+                    session: s.id,
+                    tokens: std::mem::take(&mut s.generated),
+                    kv,
+                }));
+            }
+            match end {
+                Some(result) => finish(&shared, running.swap_remove(i), result),
                 None => i += 1,
             }
         }
@@ -1343,17 +1115,17 @@ fn scheduler_loop(
                 .min_by_key(|(_, s)| s.deadline)
                 .map(|(i, _)| i)
                 .unwrap_or(0);
-            let s = running.swap_remove(victim);
             finish(
                 &shared,
-                s,
-                Err(SessionError::Evicted),
-                relax_trace::SessionPhase::Evict,
-                &shared.counters.evicted,
+                running.swap_remove(victim),
+                Err(ServeError::Evicted),
             );
         }
 
-        shared.counters.peak(shared.pool.stats().in_use as u64);
+        let in_use = shared.pool.stats().in_use as u64;
+        let mut st = lock(&shared.stats);
+        st.peak_pages_in_use = st.peak_pages_in_use.max(in_use);
+        drop(st);
         iter_span.finish();
     }
 }
@@ -1366,11 +1138,10 @@ fn admit(
     p: PendingSession,
 ) {
     if p.request.prompt.is_empty() {
-        resolve(
-            &p.slot,
-            Err(SessionError::Rejected("empty prompt".to_string())),
-        );
-        Counters::bump(&shared.counters.failed);
+        let _ = p
+            .reply
+            .send(Err(ServeError::Rejected("empty prompt".to_string())));
+        lock(&shared.stats).failed += 1;
         return;
     }
     let deadline = p.submitted + p.request.deadline.unwrap_or(config.default_deadline);
@@ -1383,50 +1154,47 @@ fn admit(
         session: p.id,
         phase: relax_trace::SessionPhase::Admit,
     });
-    Counters::bump(&shared.counters.admitted);
+    lock(&shared.stats).admitted += 1;
     let s = Session {
         id: p.id,
         prompt: p.request.prompt,
         max_new: p.request.max_new_tokens,
         deadline,
         submitted: p.submitted,
-        slot: p.slot,
+        reply: p.reply,
         cache,
         draft,
         fed: 0,
+        pre_lens: Vec::new(),
+        draft_pre_lens: Vec::new(),
         generated: Vec::new(),
         attempts: 0,
         span,
     };
     if s.max_new == 0 {
-        finish(
-            shared,
-            s,
-            Ok(SessionOutput {
-                session: p.id,
-                tokens: Vec::new(),
-                kv: None,
-            }),
-            relax_trace::SessionPhase::Retire,
-            &shared.counters.retired,
-        );
+        let output = SessionOutput {
+            session: p.id,
+            tokens: Vec::new(),
+            kv: None,
+        };
+        finish(shared, s, Ok(output));
         return;
     }
     running.push(s);
 }
 
-fn rollback(shared: &Shared, s: &Session, pre_lens: &[usize], draft_pre_lens: &[usize]) {
-    Counters::bump(&shared.counters.rollbacks);
+/// Rolls both caches back to their pre-step lengths.
+fn rollback(s: &Session) {
     // `truncate_to` never grows; it only sheds this step's partial
     // appends and releases now-empty tail pages.
-    if s.cache.truncate_to(pre_lens).is_err() {
+    if s.cache.truncate_to(&s.pre_lens).is_err() {
         // Length mismatch can only mean the job raced a config error;
         // drop the whole cache state instead of leaving partials.
         let zeros = vec![0; s.cache.lens().len()];
         let _ = s.cache.truncate_to(&zeros);
     }
     if let Some(d) = &s.draft {
-        if draft_pre_lens.is_empty() || d.truncate_to(draft_pre_lens).is_err() {
+        if s.draft_pre_lens.is_empty() || d.truncate_to(&s.draft_pre_lens).is_err() {
             let zeros = vec![0; d.lens().len()];
             let _ = d.truncate_to(&zeros);
         }

@@ -1,20 +1,27 @@
-//! Worker supervision: panic containment, heartbeat monitoring, respawn
-//! with budgets, quarantine, and the delayed-retry schedule.
+//! The worker pool: panic containment, heartbeat monitoring, respawn
+//! with budgets, quarantine, the delayed-retry schedule, and the one stop
+//! sequence. [`crate::ServeEngine`] and [`crate::SessionManager`] each
+//! own a [`Pool`].
 //!
-//! Every worker incarnation runs [`worker_loop`], which wraps request
-//! execution in `catch_unwind`: a panic — injected or real — never
-//! unwinds past the worker, the in-flight request resolves typed (or is
-//! retried), unprocessed batch riders go back to the queue, and the
-//! incarnation exits with [`WorkerExit::Panicked`].
+//! Every worker incarnation holds one [`Vm`] per program of the pool's
+//! core and runs [`worker_loop`], which wraps the execution of each
+//! work item in `catch_unwind`: a panic — injected or real — never
+//! unwinds past the worker. A call resolves typed (or is retried), a
+//! session step reports `Panicked` to its scheduler, unprocessed batch
+//! riders go back to the queue, and the incarnation exits with
+//! [`WorkerExit::Panicked`].
 //!
-//! A single supervisor thread per engine runs [`supervisor_loop`]:
+//! A single supervisor thread per pool runs [`supervisor_loop`]:
 //!
 //! - **Reap & respawn**: a finished worker whose exit was a panic gets a
-//!   fresh incarnation (new [`Vm`] over the same shared executable,
-//!   registry and the slot's plan cache — warm plans survive healing) up
-//!   to the slot's restart budget, after which the slot is quarantined.
+//!   fresh incarnation (new VMs over the same shared executables,
+//!   registry and plan caches — warm plans survive healing) up to the
+//!   slot's restart budget, after which the slot is quarantined. Once
+//!   every slot is quarantined the queue closes and what it holds
+//!   resolves `WorkerLost`: no work waits for a worker that will never
+//!   come.
 //! - **Stall detection**: every worker bumps a heartbeat (nanoseconds
-//!   since the engine epoch, in an `AtomicU64`) as it makes progress; a
+//!   since the pool epoch, in an `AtomicU64`) as it makes progress; a
 //!   *busy* worker whose heartbeat goes stale past the stall timeout is
 //!   declared wedged, marked retired (it exits on its next loop
 //!   iteration), its handle moved aside, and its slot respawned.
@@ -31,10 +38,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use relax_vm::{FaultInjector, FaultPlan, FaultSite, Vm};
+use relax_vm::registry::Registry;
+use relax_vm::{FaultInjector, FaultPlan, FaultSite, KvPagePool, Vm};
 
-use crate::engine::{fail_or_retry, lock, refusal_error, resolve_err, resolve_ok, Core, ServeError};
-use crate::queue::{PushOutcome, Request};
+use crate::engine::{
+    fail_or_retry, lock, requeue, resolve_err, resolve_ok, Core, Program, ServeConfig, ServeError,
+};
+use crate::queue::{Request, Work};
 use crate::telemetry::{WorkerExit, WorkerReport};
 
 /// The liveness flags a worker incarnation shares with the supervisor.
@@ -169,54 +179,141 @@ pub(crate) fn join_report(
     }
 }
 
-/// A freshly spawned worker incarnation.
-pub(crate) struct SpawnedWorker {
-    pub(crate) handle: JoinHandle<WorkerReport>,
-    pub(crate) flags: WorkerFlags,
-}
-
-/// Spawns one worker incarnation into slot `idx`. `faults` installs a
-/// combined fault plan: VM sites on the worker's `Vm`, serving sites on
-/// the worker loop's own injector.
+/// Spawns one worker incarnation into slot `idx`, with one VM per
+/// program. `faults` installs a combined fault plan: VM sites on each of
+/// the worker's VMs, serving sites on the worker loop's own injector.
 pub(crate) fn spawn_worker(
     core: &Arc<Core>,
     idx: usize,
     generation: u32,
     faults: Option<FaultPlan>,
-) -> SpawnedWorker {
+) -> (JoinHandle<WorkerReport>, WorkerFlags) {
     let flags = WorkerFlags {
         heartbeat: Arc::new(AtomicU64::new(core.now_ns())),
         busy: Arc::new(AtomicBool::new(false)),
         retired: Arc::new(AtomicBool::new(false)),
     };
     let (vm_plan, serve_plan) = faults.unwrap_or_default().split_serving();
-    let mut vm = Vm::from_parts(core.exec.clone(), core.registry.clone(), core.plan_cache.clone());
-    vm.set_parallelism(core.vm_parallelism);
-    if !vm_plan.is_empty() {
-        vm.inject_faults(vm_plan);
-    }
+    let vms: Vec<Vm> = core
+        .programs
+        .iter()
+        .map(|p| {
+            let mut vm = Vm::from_parts(p.exec.clone(), core.registry.clone(), p.plans.clone());
+            if let Some(pool) = &core.kv_pool {
+                vm.set_kv_pool(pool.clone());
+            }
+            vm.inject_faults(vm_plan.clone());
+            vm
+        })
+        .collect();
     let injector = FaultInjector::new(serve_plan);
     let handle = std::thread::Builder::new()
         .name(format!("relax-serve-{idx}g{generation}"))
         .spawn({
             let core = core.clone();
             let flags = flags.clone();
-            move || worker_loop(core, idx, generation, vm, injector, flags)
+            move || worker_loop(core, idx, generation, vms, injector, flags)
         })
         .expect("spawn serve worker");
-    SpawnedWorker { handle, flags }
+    (handle, flags)
 }
 
-/// Builds a slot with its generation-0 worker.
-pub(crate) fn new_slot(core: &Arc<Core>, idx: usize, faults: Option<FaultPlan>) -> Slot {
-    let spawned = spawn_worker(core, idx, 0, faults);
-    Slot {
-        idx,
-        generation: 0,
-        restarts: 0,
-        quarantined: false,
-        handle: Some(spawned.handle),
-        flags: spawned.flags,
+/// A running worker pool: the shared core, its slots and the supervisor
+/// thread. [`Pool::stop`] runs the one stop sequence; dropping the pool
+/// runs it too.
+pub(crate) struct Pool {
+    pub(crate) core: Arc<Core>,
+    supervisor: Option<JoinHandle<()>>,
+}
+
+impl Pool {
+    /// Builds the core, spawns `config.workers` slots (with their
+    /// `worker_faults`) and the supervisor.
+    pub(crate) fn start(
+        config: &ServeConfig,
+        programs: Vec<Program>,
+        registry: Arc<Registry>,
+        kv_pool: Option<Arc<KvPagePool>>,
+    ) -> Pool {
+        let core = Arc::new(Core::new(config, programs, registry, kv_pool));
+        {
+            let mut slots = lock(&core.sup.slots);
+            for idx in 0..config.workers.max(1) {
+                let faults = config
+                    .worker_faults
+                    .iter()
+                    .filter(|(target, _)| *target == idx)
+                    .map(|(_, plan)| plan.clone())
+                    .next_back();
+                let (handle, flags) = spawn_worker(&core, idx, 0, faults);
+                slots.push(Slot {
+                    idx,
+                    generation: 0,
+                    restarts: 0,
+                    quarantined: false,
+                    handle: Some(handle),
+                    flags,
+                });
+            }
+        }
+        let supervisor = std::thread::Builder::new()
+            .name("relax-serve-supervisor".into())
+            .spawn({
+                let core = core.clone();
+                move || supervisor_loop(core)
+            })
+            .expect("spawn serve supervisor");
+        Pool {
+            core,
+            supervisor: Some(supervisor),
+        }
+    }
+
+    /// Stops admitting work, flushes pending retries, drains the queue
+    /// and joins the supervisor and every worker incarnation. Returns one
+    /// report per incarnation, sorted by `(slot, generation)`; a second
+    /// call finds nothing left and returns none.
+    pub(crate) fn stop(&mut self) -> Vec<WorkerReport> {
+        let core = &self.core;
+        core.stopping.store(true, Ordering::Release);
+        core.sup.wake.notify_all();
+        // The supervisor's final pass flushes pending retries back into
+        // the (still open) queue so workers drain them.
+        if let Some(h) = self.supervisor.take() {
+            let _ = h.join();
+        }
+        core.queue.close();
+
+        let mut workers: Vec<WorkerReport> = Vec::new();
+        for slot in lock(&core.sup.slots).iter_mut() {
+            if let Some(h) = slot.handle.take() {
+                workers.push(join_report(h, slot.idx, slot.generation));
+            }
+        }
+        for (idx, generation, h) in lock(&core.sup.abandoned).drain(..) {
+            workers.push(join_report(h, idx, generation));
+        }
+        workers.extend(lock(&core.sup.reaped).drain(..));
+        workers.sort_by_key(|w| (w.worker, w.generation));
+
+        // Retries scheduled in the race window after the supervisor
+        // exited have nobody to re-enqueue them: resolve them typed so
+        // no ticket ever hangs.
+        let orphans: Vec<Request> = lock(&core.sup.retries)
+            .heap
+            .drain()
+            .map(|d| d.req)
+            .collect();
+        for req in orphans {
+            resolve_err(core, req, ServeError::ShuttingDown);
+        }
+        workers
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -231,14 +328,14 @@ fn worker_instant(idx: usize, event: relax_trace::WorkerEvent) {
     );
 }
 
-/// The worker loop: dequeue a shape-homogeneous batch, shed what is past
-/// deadline, run the rest on this worker's private VM under panic
-/// containment, resolve (or retry) each request.
+/// The worker loop: dequeue a shape-homogeneous batch (or one session
+/// step), shed what is past deadline, run the rest on this worker's
+/// private VMs under panic containment, resolve (or retry) each request.
 pub(crate) fn worker_loop(
     core: Arc<Core>,
     idx: usize,
     generation: u32,
-    mut vm: Vm,
+    mut vms: Vec<Vm>,
     mut faults: FaultInjector,
     flags: WorkerFlags,
 ) -> WorkerReport {
@@ -284,82 +381,24 @@ pub(crate) fn worker_loop(
             if let Some(fired) = faults.check(FaultSite::WorkerStall) {
                 std::thread::sleep(fired.stall.unwrap_or_default());
             }
-            let drop_reply = faults.check(FaultSite::ReplyDrop).is_some();
-            let panic_now = faults.check(FaultSite::WorkerPanic).is_some();
-            // Stitch the worker-side span under the request span opened
-            // on the submit thread: the id crossed the queue with the
-            // request.
-            let exec_span = relax_trace::span_under("serve", Some(req.trace), || {
-                format!("execute:{}", req.id)
-            });
-            // Containment boundary: a panic anywhere in request
-            // execution — injected here, or real inside the VM — must
-            // not unwind past the worker loop. `AssertUnwindSafe` is
-            // sound because a poisoned `vm` is never run again: the
-            // incarnation exits below and the supervisor builds a fresh
-            // VM for the slot.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if panic_now {
-                    panic!("injected worker panic");
-                }
-                vm.run(&req.func, &req.args)
-            }));
-            exec_span.finish_with(|| relax_trace::Payload::Request {
-                request: req.id,
-                phase: relax_trace::RequestPhase::Execute,
-            });
-            match result {
-                Ok(vm_result) => {
-                    if drop_reply {
-                        // Injected lost reply: the sender is dropped
-                        // without answering, so the ticket observes a
-                        // closed channel and resolves as `WorkerLost` —
-                        // typed, never a hang.
-                        core.counters.failed.fetch_add(1, Ordering::Relaxed);
-                        core.counters.replies_dropped.fetch_add(1, Ordering::Relaxed);
-                        relax_trace::async_end("serve", "request", req.trace, || {
-                            relax_trace::Payload::Request {
-                                request: req.id,
-                                phase: relax_trace::RequestPhase::Reply,
-                            }
-                        });
-                        drop(req);
-                        continue;
-                    }
-                    match vm_result {
-                        Ok(value) => resolve_ok(&core, req, value),
-                        Err(e) => fail_or_retry(&core, req, ServeError::Vm(e)),
-                    }
-                }
-                Err(payload) => {
-                    worker_instant(idx, relax_trace::WorkerEvent::Panic);
-                    fail_or_retry(&core, req, ServeError::WorkerLost);
-                    panicked = Some(panic_message(payload));
-                    break;
-                }
+            // Either path contains a panic and resolves the item (a
+            // step reports to its scheduler); the incarnation then exits.
+            let message = if let Work::Step(step) = req.work {
+                step.run(&mut vms, &mut faults)
+            } else {
+                run_call(&core, &mut vms[0], req, &mut faults)
+            };
+            if message.is_some() {
+                worker_instant(idx, relax_trace::WorkerEvent::Panic);
+                panicked = message;
+                break;
             }
         }
         if panicked.is_some() {
             // Hand unprocessed batch riders back to the queue: the
             // panic was this incarnation's, not theirs.
             for rest in pending {
-                match core.queue.push(rest) {
-                    PushOutcome::Admitted { shed } => {
-                        if let Some(victim) = shed {
-                            resolve_err(
-                                &core,
-                                victim,
-                                ServeError::Overloaded {
-                                    depth: core.queue.depth(),
-                                },
-                            );
-                        }
-                    }
-                    PushOutcome::Refused { req, why } => {
-                        let err = refusal_error(&core, why);
-                        fail_or_retry(&core, req, err);
-                    }
-                }
+                requeue(&core, rest);
             }
         }
         batch_span.finish();
@@ -376,8 +415,68 @@ pub(crate) fn worker_loop(
         generation,
         exit,
         requests,
-        telemetry: vm.telemetry(),
-        kernel_stats: vm.kernel_stats().clone(),
+        telemetry: vms[0].telemetry(),
+        kernel_stats: vms[0].kernel_stats().clone(),
+    }
+}
+
+/// Runs one call on `vm` and resolves (or retries) it. Returns the panic
+/// message when the call panicked: the VM may be poisoned, so the
+/// incarnation must exit.
+fn run_call(core: &Core, vm: &mut Vm, req: Request, faults: &mut FaultInjector) -> Option<String> {
+    let drop_reply = faults.check(FaultSite::ReplyDrop).is_some();
+    let panic_now = faults.check(FaultSite::WorkerPanic).is_some();
+    let Work::Call { func, args, .. } = &req.work else {
+        unreachable!("steps run through Step::run");
+    };
+    // Stitch the worker-side span under the request span opened on the
+    // submit thread: the id crossed the queue with the request.
+    let exec_span =
+        relax_trace::span_under("serve", Some(req.trace), || format!("execute:{}", req.id));
+    // Containment boundary: a panic anywhere in request execution —
+    // injected here, or real inside the VM — must not unwind past the
+    // worker loop. `AssertUnwindSafe` is sound because a poisoned `vm`
+    // is never run again: the incarnation exits and the supervisor
+    // builds fresh VMs for the slot.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if panic_now {
+            panic!("injected worker panic");
+        }
+        vm.run(func, args)
+    }));
+    exec_span.finish_with(|| relax_trace::Payload::Request {
+        request: req.id,
+        phase: relax_trace::RequestPhase::Execute,
+    });
+    match result {
+        Ok(_) if drop_reply => {
+            // Injected lost reply: the sender is dropped without
+            // answering, so the ticket observes a closed channel and
+            // resolves as `WorkerLost` — typed, never a hang.
+            core.counters.failed.fetch_add(1, Ordering::Relaxed);
+            core.counters
+                .replies_dropped
+                .fetch_add(1, Ordering::Relaxed);
+            relax_trace::async_end("serve", "request", req.trace, || {
+                relax_trace::Payload::Request {
+                    request: req.id,
+                    phase: relax_trace::RequestPhase::Reply,
+                }
+            });
+            None
+        }
+        Ok(Ok(value)) => {
+            resolve_ok(core, req, value);
+            None
+        }
+        Ok(Err(e)) => {
+            fail_or_retry(core, req, ServeError::Vm(e));
+            None
+        }
+        Err(payload) => {
+            fail_or_retry(core, req, ServeError::WorkerLost);
+            Some(panic_message(payload))
+        }
     }
 }
 
@@ -452,24 +551,8 @@ fn redeliver(core: &Arc<Core>, req: Request) {
             return;
         }
     }
-    match core.queue.push(req) {
-        PushOutcome::Admitted { shed } => {
-            if let Some(victim) = shed {
-                resolve_err(
-                    core,
-                    victim,
-                    ServeError::Overloaded {
-                        depth: core.queue.depth(),
-                    },
-                );
-            }
-        }
-        PushOutcome::Refused { req, why } => {
-            // Still refused: consume another attempt or resolve typed.
-            let err = refusal_error(core, why);
-            fail_or_retry(core, req, err);
-        }
-    }
+    // A refusal consumes another attempt or resolves it typed.
+    requeue(core, req);
 }
 
 /// One pass over the slots: reap finished incarnations (respawning
@@ -505,6 +588,14 @@ fn monitor_slots(core: &Arc<Core>, stopping: bool) {
             respawn_or_quarantine(core, slot);
         }
     }
+    if !stopping && slots.iter().all(|s| s.quarantined) {
+        // No live worker is left to drain the queue: close it and
+        // resolve what it holds, so no ticket (and no session step)
+        // waits for work nobody will run. Later pushes are refused.
+        for req in core.queue.close_and_take() {
+            resolve_err(core, req, ServeError::WorkerLost);
+        }
+    }
 }
 
 /// Respawns a fresh incarnation into the slot, or quarantines it once
@@ -522,8 +613,8 @@ fn respawn_or_quarantine(core: &Arc<Core>, slot: &mut Slot) {
     slot.generation += 1;
     core.counters.restarts.fetch_add(1, Ordering::Relaxed);
     // Respawned generations never carry fault plans: healing is real.
-    let spawned = spawn_worker(core, slot.idx, slot.generation, None);
-    slot.handle = Some(spawned.handle);
-    slot.flags = spawned.flags;
+    let (handle, flags) = spawn_worker(core, slot.idx, slot.generation, None);
+    slot.handle = Some(handle);
+    slot.flags = flags;
     worker_instant(slot.idx, relax_trace::WorkerEvent::Restart);
 }

@@ -1,6 +1,7 @@
 //! Self-healing and chaos tests on the tiny Llama decode model: panic
 //! containment and respawn, dropped-reply resolution, retry-to-success,
-//! deadline-vs-backoff interaction, overload watermarks, and the full
+//! deadline-vs-backoff interaction, overload watermarks, quarantine of
+//! the whole pool, and the full
 //! seeded chaos harness invariants (typed resolution, bitwise-correct
 //! survivors, availability under faults).
 
@@ -328,6 +329,61 @@ fn overload_watermarks_shed_then_reject_under_a_wedged_worker() {
     assert_eq!(report.stats.timed_out, 1);
     assert_eq!(report.stats.rejected_overload, 1);
     assert_eq!(report.stats.restarts, 0);
+}
+
+/// Quarantine: when the last live slot exhausts its restart budget,
+/// every request still queued resolves `WorkerLost` at once — not at
+/// shutdown — and later submissions are refused with the same error.
+#[test]
+fn fully_quarantined_pool_resolves_queued_tickets() {
+    silence_injected_panics();
+    let (ir, exec) = tiny_exec();
+    let engine = ServeEngine::new(
+        exec,
+        ServeConfig {
+            workers: 1,
+            max_batch: 1,
+            restart_budget: 0,
+            worker_faults: vec![(0, FaultPlan::new().fail_worker_panic(1))],
+            ..ServeConfig::default()
+        },
+    );
+    let mut seed = 27u64;
+    let args = decode_args(&ir, 1, 1, &mut seed);
+    let mut tickets: Vec<Ticket> = Vec::new();
+    for _ in 0..3 {
+        match engine.submit("decode", &args) {
+            Ok(t) => tickets.push(t),
+            // The slot may already be quarantined: refused typed.
+            Err(ServeError::WorkerLost) => {}
+            Err(other) => panic!("unexpected refusal: {other}"),
+        }
+    }
+    assert!(
+        !tickets.is_empty(),
+        "the first submission is always admitted"
+    );
+    for (i, t) in tickets.into_iter().enumerate() {
+        match t.wait_timeout(Duration::from_secs(2)) {
+            Some(Err(ServeError::WorkerLost)) => {}
+            other => panic!("ticket {i}: expected WorkerLost within 2 s, got {other:?}"),
+        }
+    }
+    match engine.submit("decode", &args) {
+        Err(ServeError::WorkerLost) => {}
+        Err(other) => panic!("expected a WorkerLost refusal, got {other}"),
+        Ok(_) => panic!("a pool with no live worker admitted a request"),
+    }
+
+    let report = engine.shutdown();
+    assert_eq!(report.stats.quarantined, 1);
+    assert_eq!(report.stats.restarts, 0);
+    assert_eq!(report.stats.completed, 0);
+    assert_eq!(report.slots_drained(), 0, "the only slot is quarantined");
+    assert_eq!(
+        report.stats.accepted,
+        report.stats.completed + report.stats.failed + report.stats.timed_out
+    );
 }
 
 /// A stalled worker is detected by heartbeat, retired and replaced; the

@@ -2,7 +2,8 @@
 //! (staggered admits, early retirements, mixed prefill/decode lengths)
 //! asserted bitwise-equal to the copy-based kv_append oracle, serial
 //! and under 8 workers; earliest-deadline eviction under page-pool
-//! pressure; accounting smoke; and chaos (worker panics and stalls
+//! pressure; accounting smoke; shutdown and drop mid-wave; ticket
+//! redemption after `try_wait`; and chaos (worker panics and stalls
 //! mid-iteration) with page-pool reconciliation.
 
 use std::collections::HashMap;
@@ -14,7 +15,8 @@ use relax_models::llama::{build_decode, build_decode_paged, build_prefill, Llama
 use relax_passes::{compile, CompileOptions};
 use relax_serve::chaos::{run_session_chaos, silence_injected_panics, SessionChaosConfig};
 use relax_serve::{
-    SessionConfig, SessionError, SessionManager, SessionModelSpec, SessionRequest, SessionTicket,
+    ServeError, SessionConfig, SessionManager, SessionModelSpec, SessionOutput, SessionRequest,
+    Ticket,
 };
 use relax_tir::NDArray;
 use relax_vm::{Executable, FaultPlan, KvCacheConfig, Value, Vm};
@@ -215,7 +217,7 @@ fn run_and_compare(fx: &Fixture, schedule: &[SessionRequest], workers: usize) {
     );
     // Staggered admits: sessions join while earlier ones are already
     // decoding, exercising iteration-level admission.
-    let tickets: Vec<SessionTicket> = schedule
+    let tickets: Vec<Ticket<SessionOutput>> = schedule
         .iter()
         .enumerate()
         .map(|(i, r)| {
@@ -290,7 +292,7 @@ fn pool_pressure_evicts_and_survivors_stay_bitwise_correct() {
             deadline: Some(Duration::from_secs(5 + 10 * i as u64)),
         })
         .collect();
-    let tickets: Vec<SessionTicket> = reqs.iter().map(|r| mgr.submit(r.clone())).collect();
+    let tickets: Vec<Ticket<SessionOutput>> = reqs.iter().map(|r| mgr.submit(r.clone())).collect();
     let mut retired = 0;
     let mut evicted = 0;
     for (t, r) in tickets.into_iter().zip(&reqs) {
@@ -307,7 +309,7 @@ fn pool_pressure_evicts_and_survivors_stay_bitwise_correct() {
                     .collect();
                 assert_eq!(got_kv, want_kv, "survivor final KV diverged");
             }
-            Err(SessionError::Evicted) => evicted += 1,
+            Err(ServeError::Evicted) => evicted += 1,
             Err(other) => panic!("unexpected session error: {other}"),
         }
     }
@@ -339,7 +341,8 @@ fn mixed_traffic_smoke_accounting() {
     );
     let mut seed = 0x5EED_0003u64;
     let schedule = random_schedule(12, &mut seed);
-    let tickets: Vec<SessionTicket> = schedule.iter().map(|r| mgr.submit(r.clone())).collect();
+    let tickets: Vec<Ticket<SessionOutput>> =
+        schedule.iter().map(|r| mgr.submit(r.clone())).collect();
     for t in tickets {
         t.wait().expect("mixed-traffic session failed");
     }
@@ -360,6 +363,106 @@ fn mixed_traffic_smoke_accounting() {
     assert_eq!(ps.in_use, 0, "pages leaked after shutdown: {ps:?}");
 }
 
+/// Shutting a manager down in the middle of a 17-session wave — or
+/// dropping it without `shutdown` — resolves every ticket (`Ok` or
+/// `ShuttingDown`), keeps the accounting identity, and returns every
+/// page to the pool.
+#[test]
+fn shutdown_or_drop_mid_wave_resolves_every_session() {
+    let fx = fixture();
+    let mut seed = 0x5EED_0005u64;
+    let mut schedule = random_schedule(17, &mut seed);
+    for r in &mut schedule {
+        r.max_new_tokens = 8; // long enough that the wave is mid-flight
+    }
+    for explicit in [true, false] {
+        let mgr = SessionManager::new(
+            fx.spec.clone(),
+            SessionConfig {
+                workers: 2,
+                ..SessionConfig::default()
+            },
+        );
+        let pool = mgr.pool().clone();
+        let tickets: Vec<Ticket<SessionOutput>> =
+            schedule.iter().map(|r| mgr.submit(r.clone())).collect();
+        while mgr.stats().iterations < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = if explicit {
+            Some(mgr.shutdown())
+        } else {
+            drop(mgr);
+            None
+        };
+        let (mut retired, mut shut_down) = (0u64, 0u64);
+        for (i, t) in tickets.into_iter().enumerate() {
+            match t.wait_timeout(Duration::from_secs(10)) {
+                Some(Ok(out)) => {
+                    assert_eq!(out.tokens.len(), 8, "session {i} retired short");
+                    retired += 1;
+                }
+                Some(Err(ServeError::ShuttingDown)) => shut_down += 1,
+                other => panic!("session {i} (explicit={explicit}): {other:?}"),
+            }
+        }
+        assert_eq!(retired + shut_down, schedule.len() as u64);
+        if let Some(stats) = stats {
+            assert_eq!(stats.submitted, schedule.len() as u64);
+            assert_eq!(
+                stats.retired + stats.evicted + stats.failed + stats.shed,
+                stats.submitted,
+                "session accounting does not add up: {stats:?}"
+            );
+            assert_eq!((stats.retired, stats.failed), (retired, shut_down));
+        }
+        let ps = pool.stats();
+        assert!(
+            ps.reconciles(),
+            "pool accounting broke (explicit={explicit}): {ps:?}"
+        );
+        assert_eq!(ps.in_use, 0, "pages leaked (explicit={explicit}): {ps:?}");
+    }
+}
+
+/// A ticket whose result was already taken by `try_wait` answers a
+/// later `wait` promptly with a typed error instead of blocking.
+#[test]
+fn wait_after_a_successful_try_wait_returns_promptly() {
+    let fx = fixture();
+    let mgr = SessionManager::new(
+        fx.spec.clone(),
+        SessionConfig {
+            workers: 1,
+            ..SessionConfig::default()
+        },
+    );
+    let ticket = mgr.submit(SessionRequest {
+        prompt: vec![1, 2, 3],
+        max_new_tokens: 2,
+        deadline: None,
+    });
+    let first = loop {
+        match ticket.try_wait() {
+            Some(r) => break r,
+            None => std::thread::sleep(Duration::from_millis(1)),
+        }
+    };
+    assert_eq!(first.expect("session finishes").tokens.len(), 2);
+    // Guard thread: a `wait` that blocks forever fails the test instead
+    // of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(ticket.wait().map(|out| out.tokens));
+    });
+    match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(Err(ServeError::WorkerLost)) => {}
+        Ok(other) => panic!("expected a typed WorkerLost, got {other:?}"),
+        Err(_) => panic!("wait blocked after a successful try_wait"),
+    }
+    mgr.shutdown();
+}
+
 /// Satellite: an explicit mid-iteration worker panic (after the step's
 /// in-place appends landed) plus a stall; the scheduler rolls back,
 /// retries, every session still finishes bitwise-equal, and the page
@@ -374,9 +477,13 @@ fn worker_panic_mid_iteration_rolls_back_and_heals() {
             workers: 2,
             max_attempts: 6,
             return_kv: true,
-            faults: FaultPlan::new()
-                .fail_worker_panic(3)
-                .stall_worker(5, Duration::from_millis(30)),
+            worker_faults: vec![
+                (0, FaultPlan::new().fail_worker_panic(3)),
+                (
+                    1,
+                    FaultPlan::new().stall_worker(5, Duration::from_millis(30)),
+                ),
+            ],
             ..SessionConfig::default()
         },
     );
@@ -387,7 +494,7 @@ fn worker_panic_mid_iteration_rolls_back_and_heals() {
             deadline: None,
         })
         .collect();
-    let tickets: Vec<SessionTicket> = reqs.iter().map(|r| mgr.submit(r.clone())).collect();
+    let tickets: Vec<Ticket<SessionOutput>> = reqs.iter().map(|r| mgr.submit(r.clone())).collect();
     for (t, r) in tickets.into_iter().zip(&reqs) {
         let out = t.wait().expect("session should survive the panic");
         let (want_tokens, want_kv) = oracle_run(&fx, &r.prompt, r.max_new_tokens);

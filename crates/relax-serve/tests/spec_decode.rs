@@ -19,8 +19,8 @@ use relax_models::llama::{
 use relax_passes::{compile, CompileOptions};
 use relax_serve::chaos::{run_session_chaos, SessionChaosConfig};
 use relax_serve::{
-    SessionConfig, SessionManager, SessionModelSpec, SessionRequest, SessionStats, SessionTicket,
-    SpeculativeSpec,
+    SessionConfig, SessionManager, SessionModelSpec, SessionOutput, SessionRequest, SessionStats,
+    SpeculativeSpec, Ticket,
 };
 use relax_tir::NDArray;
 use relax_vm::{Executable, KvCacheConfig, Value, Vm};
@@ -255,7 +255,7 @@ fn run_and_compare(
             ..SessionConfig::default()
         },
     );
-    let tickets: Vec<SessionTicket> = schedule
+    let tickets: Vec<Ticket<SessionOutput>> = schedule
         .iter()
         .enumerate()
         .map(|(i, r)| {

@@ -41,7 +41,10 @@ cargo test -p relax-serve --release -q --test chaos
 
 echo "==> concurrency and trace suites, 20 runs each (release)"
 # A flake in these suites fails CI instead of passing on a lucky run.
-for suite in "--test tracing" "-p relax-vm --test plan_cache_stress" "-p relax-serve --test stress8"; do
+# Session steps share the engine's supervised worker pool, so the
+# session, speculative-decoding and chaos suites run here too.
+for suite in "--test tracing" "-p relax-vm --test plan_cache_stress" "-p relax-serve --test stress8" \
+    "-p relax-serve --test sessions" "-p relax-serve --test spec_decode" "-p relax-serve --test chaos"; do
     for _ in $(seq 20); do
         # shellcheck disable=SC2086  # $suite is a flag list
         if ! log=$(cargo test --release -q $suite 2>&1); then
