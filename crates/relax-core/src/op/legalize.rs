@@ -758,17 +758,35 @@ fn legalize_attention(
         q_dims[3].clone(),
     );
     let skv = k_dims[2].clone();
-    // Grouped-query attention: query head h reads kv head h // group.
+    // Grouped-query attention: query head `hk*group + g` reads kv head
+    // `hk`. The two reductions loop over `(hk, g)` instead of indexing
+    // `h // group`, which keeps every K/V access affine (flat and proven
+    // in bounds, so the plan can macroize both) and still visits the
+    // query heads in ascending order.
     let group: i64 = match (q_dims[1].as_int(), k_dims[1].as_int()) {
         (Some(hq), Some(hkv)) if hkv > 0 => hq / hkv,
         _ => 1,
     };
-    let kv_head = |h: PrimExpr| -> PrimExpr {
-        if group == 1 {
-            h
+    let head_loops: Vec<(&str, PrimExpr)> = if group == 1 {
+        vec![("h", h.clone())]
+    } else {
+        vec![("hk", k_dims[1].clone()), ("g", group.into())]
+    };
+    // Loops `b, <heads>, inner...` plus the (query head, kv head) pair
+    // of their counters.
+    let head_grid = |inner: [(&str, PrimExpr); 3]| {
+        let mut dims = vec![("b", b.clone())];
+        dims.extend(head_loops.iter().cloned());
+        dims.extend(inner);
+        let (ivs, nest) = grid(&dims);
+        let iv = |t: usize| PrimExpr::from(ivs[t].clone());
+        let heads = if group == 1 {
+            (iv(1), iv(1))
         } else {
-            h.floor_div(group.into())
-        }
+            (iv(1) * group.into() + iv(2), iv(1))
+        };
+        let rest: [PrimExpr; 3] = std::array::from_fn(|t| iv(1 + head_loops.len() + t));
+        (iv(0), heads, rest, nest)
     };
 
     let q = Buffer::new("Q", q_dims.clone(), dt);
@@ -795,20 +813,8 @@ fn legalize_attention(
     );
 
     // Pass 1: scores[b,h,i,j] = scale * sum_kd q·k (+ causal mask)
-    let (iv1, nest1) = grid(&[
-        ("b", b.clone()),
-        ("h", h.clone()),
-        ("i", s.clone()),
-        ("j", skv.clone()),
-        ("kd", d.clone()),
-    ]);
-    let (bv, hv, i1, j1, kd) = (
-        PrimExpr::from(iv1[0].clone()),
-        PrimExpr::from(iv1[1].clone()),
-        PrimExpr::from(iv1[2].clone()),
-        PrimExpr::from(iv1[3].clone()),
-        PrimExpr::from(iv1[4].clone()),
-    );
+    let (bv, (hv, kvh1), [i1, j1, kd], nest1) =
+        head_grid([("i", s.clone()), ("j", skv.clone()), ("kd", d.clone())]);
     let sc_idx1 = vec![bv.clone(), hv.clone(), i1.clone(), j1.clone()];
     let pass1 = nest1.build(Stmt::seq(vec![
         Stmt::IfEq {
@@ -825,7 +831,7 @@ fn legalize_attention(
             sc_idx1.clone(),
             TirExpr::load(&scores, sc_idx1.clone())
                 + TirExpr::load(&q, vec![bv.clone(), hv.clone(), i1.clone(), kd.clone()])
-                    * TirExpr::load(&k, vec![bv, kv_head(hv), j1, kd]),
+                    * TirExpr::load(&k, vec![bv, kvh1, j1, kd]),
         ),
     ]));
 
@@ -915,14 +921,7 @@ fn legalize_attention(
     ]));
 
     // Pass 5: weighted sum over v.
-    let (iv5, nest5) = grid(&[("b", b), ("h", h), ("i", s), ("kd", d), ("j", skv)]);
-    let (b5, h5, i5, kd5, j5) = (
-        PrimExpr::from(iv5[0].clone()),
-        PrimExpr::from(iv5[1].clone()),
-        PrimExpr::from(iv5[2].clone()),
-        PrimExpr::from(iv5[3].clone()),
-        PrimExpr::from(iv5[4].clone()),
-    );
+    let (b5, (h5, kvh5), [i5, kd5, j5], nest5) = head_grid([("i", s), ("kd", d), ("j", skv)]);
     let out_idx = vec![b5.clone(), h5.clone(), i5.clone(), kd5.clone()];
     let row5 = vec![b5.clone(), h5.clone(), i5.clone()];
     let weight = TirExpr::Exp(Box::new(
@@ -938,7 +937,7 @@ fn legalize_attention(
         Stmt::store(
             &o,
             out_idx.clone(),
-            TirExpr::load(&o, out_idx) + weight * TirExpr::load(&v, vec![b5, kv_head(h5), j5, kd5]),
+            TirExpr::load(&o, out_idx) + weight * TirExpr::load(&v, vec![b5, kvh5, j5, kd5]),
         ),
     ]));
 

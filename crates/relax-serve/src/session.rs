@@ -223,6 +223,11 @@ pub struct SessionStats {
     /// Steps lost to a worker panic (contained and healed) or to a pool
     /// with no live worker left.
     pub worker_panics: u64,
+    /// Worker incarnations the pool's supervisor respawned (after a
+    /// panic or a stall).
+    pub worker_restarts: u64,
+    /// Worker slots quarantined after spending their restart budget.
+    pub workers_quarantined: u64,
     /// Peak pages in use observed at iteration boundaries.
     pub peak_pages_in_use: u64,
     /// Speculation steps executed successfully.
@@ -514,9 +519,15 @@ impl SessionManager {
         Ticket::new(rx)
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot; the worker counters come from the pool's
+    /// supervisor.
     pub fn stats(&self) -> SessionStats {
-        *lock(&self.shared.stats)
+        let c = &self.workers.core.counters;
+        SessionStats {
+            worker_restarts: c.restarts.load(Ordering::Relaxed),
+            workers_quarantined: c.quarantined.load(Ordering::Relaxed),
+            ..*lock(&self.shared.stats)
+        }
     }
 
     /// The shared page pool (tests assert its accounting reconciles).

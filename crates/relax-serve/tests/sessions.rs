@@ -520,6 +520,53 @@ fn worker_panic_mid_iteration_rolls_back_and_heals() {
     assert_eq!(ps.in_use, 0, "pages leaked through the panic: {ps:?}");
 }
 
+/// A worker panic shows in the manager's stats as one respawn, read
+/// from the pool's supervisor; nothing is quarantined.
+#[test]
+fn session_stats_count_worker_restarts() {
+    silence_injected_panics();
+    let fx = fixture();
+    let mgr = SessionManager::new(
+        fx.spec.clone(),
+        SessionConfig {
+            workers: 1,
+            max_attempts: 4,
+            worker_faults: vec![(0, FaultPlan::new().fail_worker_panic(1))],
+            ..SessionConfig::default()
+        },
+    );
+    let tickets: Vec<Ticket<SessionOutput>> = (0..2)
+        .map(|i| {
+            mgr.submit(SessionRequest {
+                prompt: vec![1 + i; 4],
+                max_new_tokens: 3,
+                deadline: None,
+            })
+        })
+        .collect();
+    for t in tickets {
+        t.wait().expect("session should survive the panic");
+    }
+    // The supervisor counts a respawn on its next pass, not
+    // synchronously with the panic.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while mgr.stats().worker_restarts == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "supervisor never counted the respawn: {:?}",
+            mgr.stats()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = mgr.shutdown();
+    assert_eq!(
+        stats.worker_restarts, 1,
+        "one panic, one respawn: {stats:?}"
+    );
+    assert_eq!(stats.workers_quarantined, 0, "{stats:?}");
+    assert!(stats.worker_panics >= 1, "{stats:?}");
+}
+
 /// Satellite: the seeded chaos harness — random panics and stalls over
 /// a random schedule — upholds the same invariants end to end.
 #[test]

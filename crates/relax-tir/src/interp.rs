@@ -351,24 +351,18 @@ impl Context {
                 let flat = self.flat(&arr, indices)?;
                 arr.get(flat)?
             }
-            TirExpr::Add(a, b) => binop(
-                self.eval(a)?,
-                self.eval(b)?,
-                |x, y| x + y,
-                |x, y| x.wrapping_add(y),
-            ),
+            TirExpr::Add(a, b) => {
+                binop(self.eval(a)?, self.eval(b)?, fadd, |x, y| x.wrapping_add(y))
+            }
             TirExpr::Sub(a, b) => binop(
                 self.eval(a)?,
                 self.eval(b)?,
                 |x, y| x - y,
                 |x, y| x.wrapping_sub(y),
             ),
-            TirExpr::Mul(a, b) => binop(
-                self.eval(a)?,
-                self.eval(b)?,
-                |x, y| x * y,
-                |x, y| x.wrapping_mul(y),
-            ),
+            TirExpr::Mul(a, b) => {
+                binop(self.eval(a)?, self.eval(b)?, fmul, |x, y| x.wrapping_mul(y))
+            }
             TirExpr::Div(a, b) => {
                 let (x, y) = (self.eval(a)?, self.eval(b)?);
                 match (x, y) {
@@ -422,6 +416,33 @@ impl Context {
                 arr.get(arr.flat_index(&concrete)?)?
             }
         })
+    }
+}
+
+/// `a + b` with NaN propagation pinned to operand order: a NaN result
+/// carries the first NaN operand (quieted), as x86 SSE does, whichever
+/// order the compiler emits the commutative instruction in. The plan's
+/// inlined macro-op loop, where the compiler may swap operands, relies
+/// on this to stay bitwise equal to the interpreter and the tape.
+pub(crate) fn fadd(a: f64, b: f64) -> f64 {
+    first_nan(a, b, a + b)
+}
+
+/// `a * b` with [`fadd`]'s NaN rule.
+pub(crate) fn fmul(a: f64, b: f64) -> f64 {
+    first_nan(a, b, a * b)
+}
+
+fn first_nan(a: f64, b: f64, r: f64) -> f64 {
+    const QUIET: u64 = 1 << 51;
+    if !r.is_nan() {
+        r
+    } else if a.is_nan() {
+        f64::from_bits(a.to_bits() | QUIET)
+    } else if b.is_nan() {
+        f64::from_bits(b.to_bits() | QUIET)
+    } else {
+        r
     }
 }
 

@@ -35,6 +35,19 @@
 //! × tape ops) gates the parallel path: plans below
 //! [`PAR_MIN_WORK`] op-units always run serial, so small kernels never pay
 //! pool hand-off overhead.
+//!
+//! Functions carrying the `relax.schedule` attribute additionally get
+//! **macro-op superinstructions**: each canonical `j`/`k` reduction nest
+//! (`Y[..] += X·W` with an `IfEq` init) collapses into one
+//! `PStmt::MacroMatmul` that runs a register-blocked loop instead of the
+//! tape. Loops around the nest stay scalar and index block rows, so
+//! batched reductions qualify. The stationary operand `X` is either one
+//! load or a *prologue tape* — a pure float sub-tape, such as attention's
+//! softmax weight `exp(s − max) / sum` — evaluated once per reduction
+//! step. Every partial sum keeps the tape's rounding, and NaN results
+//! keep its operand order ([`interp`]'s `fadd`/`fmul`), so macros are
+//! bitwise equal to the scalar body they replace; launches they cannot
+//! serve (aliased arguments, integer views) run that scalar body.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -333,17 +346,21 @@ enum PStmt {
     },
     /// Re-zeroes a scratch buffer (emitted at each `Alloc` point).
     ZeroScratch { buf: usize },
-    /// A cache-blocked matmul **superinstruction**: an entire
+    /// A cache-blocked batched-reduction **superinstruction**: an entire
     /// `for j { for k { if k == 0 { Y = c }; Y = Y + X·W } }` reduction
-    /// nest collapsed into one plan entry. Recognition (schedule-gated,
-    /// see [`Compiler::try_macro`]) proves the nest is the canonical dot
-    /// pattern over flat, in-bounds affine accesses; execution then runs
-    /// a register-blocked loop (`k` outer over blocks of `j`) that keeps
-    /// accumulators out of memory while preserving the scalar tape's
-    /// exact per-cell rounding sequence — every partial sum is rounded
-    /// to the destination dtype after each multiply-accumulate, exactly
-    /// as the tape's store/load round-trip does, so results are bitwise
-    /// identical.
+    /// nest collapsed into one plan entry (enclosing loops stay scalar
+    /// and act as block-row indices). Recognition (schedule-gated, see
+    /// [`Compiler::try_macro`]) proves the nest is the canonical dot
+    /// pattern over flat, in-bounds affine accesses, with a stationary
+    /// operand `X` that does not move along `j` — a plain load
+    /// (`QKᵀ`, matmul) or a pure float prologue tape such as attention's
+    /// softmax weight `exp(s − max) / sum` (`PV`). Execution evaluates
+    /// `X` once per reduction step and runs a register-blocked loop
+    /// (`k` outer over blocks of `j`) that keeps accumulators out of
+    /// memory while preserving the scalar tape's exact per-cell rounding
+    /// sequence — every partial sum is rounded to the destination dtype
+    /// after each multiply-accumulate, exactly as the tape's store/load
+    /// round-trip does, so results are bitwise identical.
     MacroMatmul {
         /// Iter slots of the consumed spatial (`j`) and reduction (`k`)
         /// loops; the executor pins them to zero to evaluate bases.
@@ -355,10 +372,8 @@ enum PStmt {
         /// Output / accumulator access (`coeff(k) == 0`).
         y_buf: usize,
         y: Affine,
-        /// Stationary operand (`coeff(j) == 0`), hoisted out of the
-        /// block loop.
-        x_buf: usize,
-        x: Affine,
+        /// Stationary operand, hoisted out of the block loop.
+        x: Stationary,
         /// Moving operand.
         w_buf: usize,
         w: Affine,
@@ -375,6 +390,21 @@ enum PStmt {
         /// reproduced exactly.
         fallback: Box<PStmt>,
     },
+}
+
+/// The stationary multiply operand of a [`PStmt::MacroMatmul`]: constant
+/// along the spatial `j` loop, so it is evaluated once per reduction step
+/// instead of once per cell.
+#[derive(Debug, Clone)]
+enum Stationary {
+    /// One flat load (`coeff(j) == 0`).
+    Load { buf: usize, x: Affine },
+    /// A pure float prologue: a sub-tape of flat loads (independent of
+    /// `j`, never of `Y`), float constants, arithmetic and `Exp` whose
+    /// `result` register holds the operand. Its ops are exactly the
+    /// scalar tape's, so the value is bit-identical to the one the
+    /// tape recomputes for every `j`.
+    Tape { tape: Vec<TapeOp>, result: Reg },
 }
 
 /// A buffer slot in the plan: a parameter or a scratch allocation, with
@@ -412,9 +442,9 @@ struct PlanInner {
     /// Compile-time work estimate in op-units (Σ loop trip counts × tape
     /// ops), used by the [`PAR_MIN_WORK`] parallelism cutoff.
     work_estimate: u64,
-    /// `true` when the body contains at least one macro-op
-    /// superinstruction; selects the [`PAR_MIN_WORK_MACRO`] cutoff.
-    has_macros: bool,
+    /// Number of macro-op superinstructions in the body; any at all
+    /// selects the [`PAR_MIN_WORK_MACRO`] cutoff.
+    macro_ops: usize,
     /// The pre-macroization scalar body, kept only when macroization or
     /// sibling fusion rewrote the plan. Macro recognition proves
     /// operand/output **slots** distinct, but launch-time argument
@@ -482,12 +512,12 @@ pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, Pla
     // auto-scheduler) get the blocked matmul macro-op plus row-level
     // sibling fusion of elementwise epilogues into the macro loop.
     let mut scalar_body = None;
-    let mut has_macros = false;
+    let mut macro_ops = 0;
     if func.attr("relax.schedule").is_some() {
         let original = body.clone();
         let mut changed = c.macroize_stmts(&mut body);
         changed |= c.fuse_rows(&mut body);
-        has_macros = contains_macro(&body);
+        macro_ops = count_macros(&body);
         if changed {
             scalar_body = Some(original);
         }
@@ -512,7 +542,7 @@ pub fn compile(func: &PrimFunc, shapes: &[Vec<usize>]) -> Result<KernelPlan, Pla
             bufs: c.bufs,
             written: c.written,
             work_estimate,
-            has_macros,
+            macro_ops,
             scalar_body,
         }),
     })
@@ -950,9 +980,16 @@ impl Compiler {
             PStmt::ZeroScratch { buf } => self.bufs[*buf].numel as u64,
             // One macro unit per multiply-accumulate: far cheaper than a
             // scalar tape element, hence the separate
-            // [`PAR_MIN_WORK_MACRO`] cutoff.
-            PStmt::MacroMatmul { nj, nk, .. } => {
-                ((*nj).max(0) as u64).saturating_mul((*nk).max(0) as u64)
+            // [`PAR_MIN_WORK_MACRO`] cutoff. A prologue tape adds its ops
+            // once per reduction step.
+            PStmt::MacroMatmul { nj, nk, x, .. } => {
+                let prologue = match x {
+                    Stationary::Load { .. } => 0,
+                    Stationary::Tape { tape, .. } => tape.len() as u64,
+                };
+                ((*nj).max(0) as u64)
+                    .saturating_add(prologue)
+                    .saturating_mul((*nk).max(0) as u64)
             }
         }
     }
@@ -1042,15 +1079,16 @@ impl Compiler {
     /// ```text
     /// Loop j { Loop k {
     ///     IfEq k == 0 { Store Y[..] = ConstF(c) }
-    ///     Store Y[..] = tape[Load Y, Load X, Load W, Mul(1,2), Add(0,3)]
+    ///     Store Y[..] = tape[Load Y, <X ops>, Load W, Mul(x,w), Add(y,·)]
     /// } }
     /// ```
     ///
-    /// with constant trip counts, all accesses flat (proven in bounds),
-    /// `Y` independent of `k`, one multiply operand independent of `j`
-    /// (the stationary operand), a float destination dtype, and operand
-    /// slots distinct from the output slot. Anything else is left to the
-    /// scalar tape.
+    /// (multiply operands in either order) with constant trip counts, all
+    /// accesses flat (proven in bounds), `Y` independent of `k`, a float
+    /// destination dtype, `W` a single load, and `X` stationary: a load
+    /// or pure float prologue independent of `j` (see [`stationary`]).
+    /// Operand slots must be distinct from the output slot. Anything else
+    /// is left to the scalar tape.
     fn try_macro(&self, s: &PStmt) -> Option<PStmt> {
         let PStmt::Loop {
             iter: j_iter,
@@ -1107,7 +1145,9 @@ impl Compiler {
         if ires != d0 || ibuf != y_buf || iy != y || idt != dtype || !dtype.is_float() {
             return None;
         }
-        // Update tape: Load Y, Load A, Load B, Mul(A,B), Add(Y,·).
+        // Update tape: Load Y, <A>, <B>, Mul(A,B), Add(Y,·), where one
+        // operand is a single flat load (the moving `W`) and the other is
+        // stationary along `j`.
         let [TapeOp {
             dst: r0,
             op:
@@ -1115,50 +1155,39 @@ impl Compiler {
                     buf: ly,
                     access: Access::Flat(ay),
                 },
-        }, TapeOp {
-            dst: r1,
-            op:
-                Op::Load {
-                    buf: b1,
-                    access: Access::Flat(a1),
-                },
-        }, TapeOp {
-            dst: r2,
-            op:
-                Op::Load {
-                    buf: b2,
-                    access: Access::Flat(a2),
-                },
-        }, TapeOp {
-            dst: r3,
+        }, operands @ .., TapeOp {
+            dst: rm,
             op: Op::Mul(m1, m2),
         }, TapeOp {
-            dst: r4,
+            dst: ra,
             op: Op::Add(s1, s2),
         }] = tape.as_slice()
         else {
             return None;
         };
-        if ly != y_buf || ay != y || (*m1, *m2) != (*r1, *r2) || (*s1, *s2) != (*r0, *r3) {
+        if ly != y_buf || ay != y || (*s1, *s2) != (*r0, *rm) {
             return None;
         }
-        if result != r4 || y.coeff(*k_iter) != 0 {
+        if result != ra || y.coeff(*k_iter) != 0 {
             return None;
         }
-        // Pick the stationary operand; keep tape operand order for the
-        // multiply.
-        let (x_buf, x, w_buf, w, x_first) = if a1.coeff(*j_iter) == 0 {
-            (*b1, a1.clone(), *b2, a2.clone(), true)
-        } else if a2.coeff(*j_iter) == 0 {
-            (*b2, a2.clone(), *b1, a1.clone(), false)
-        } else {
-            return None;
-        };
-        // Distinct slots: the blocked loop defers Y stores to block
-        // boundaries, which an operand aliasing Y would observe.
-        if x_buf == *y_buf || w_buf == *y_buf {
+        // Operand A's ops end with the op defining `m1`; B's follow.
+        let split = operands.iter().position(|op| op.dst == *m1)? + 1;
+        let (a, b) = operands.split_at(split);
+        if b.last()?.dst != *m2 {
             return None;
         }
+        // Prefer A as the stationary operand; keep tape operand order for
+        // the multiply. The moving operand is one flat load of a slot
+        // other than `Y`: the blocked loop defers `Y` stores to block
+        // boundaries, which an operand aliasing `Y` would observe.
+        let (x, (w_buf, w), x_first) =
+            [(a, b, true), (b, a, false)]
+                .into_iter()
+                .find_map(|(xs, ws, first)| {
+                    let w = flat_load(ws).filter(|(buf, _)| buf != y_buf)?;
+                    Some((stationary(xs, *j_iter, *y_buf)?, w, first))
+                })?;
         Some(PStmt::MacroMatmul {
             j_iter: *j_iter,
             k_iter: *k_iter,
@@ -1166,10 +1195,9 @@ impl Compiler {
             nk,
             y_buf: *y_buf,
             y: y.clone(),
-            x_buf,
             x,
             w_buf,
-            w,
+            w: w.clone(),
             x_first,
             init: *init,
             fallback: Box::new(s.clone()),
@@ -1224,7 +1252,7 @@ impl Compiler {
         if const_of(ea)? != const_of(eb)? {
             return None;
         }
-        if !contains_macro(ba) && !contains_macro(bb) {
+        if count_macros(ba) + count_macros(bb) == 0 {
             return None;
         }
         let mut sa = ParScan::default();
@@ -1305,6 +1333,58 @@ fn const_of(e: &IdxExpr) -> Option<i64> {
     e.as_affine().and_then(Affine::as_const)
 }
 
+/// The buffer and access of a sub-tape that is exactly one flat load.
+fn flat_load(ops: &[TapeOp]) -> Option<(usize, &Affine)> {
+    match ops {
+        [TapeOp {
+            op:
+                Op::Load {
+                    buf,
+                    access: Access::Flat(a),
+                },
+            ..
+        }] => Some((*buf, a)),
+        _ => None,
+    }
+}
+
+/// Recognizes a stationary macro operand: a pure float sub-tape whose
+/// loads are flat, independent of `j_iter` and never read the output slot,
+/// and whose ops read only registers the sub-tape itself defined. A
+/// single load stays a [`Stationary::Load`].
+fn stationary(ops: &[TapeOp], j_iter: usize, y_buf: usize) -> Option<Stationary> {
+    let mut defined: Vec<Reg> = Vec::with_capacity(ops.len());
+    for TapeOp { dst, op } in ops {
+        let def = |r: &Reg| defined.contains(r);
+        let pure = match op {
+            Op::ConstF(_) => true,
+            Op::Load {
+                buf,
+                access: Access::Flat(a),
+            } => *buf != y_buf && a.coeff(j_iter) == 0,
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::Max(a, b)
+            | Op::Min(a, b) => def(a) && def(b),
+            Op::Exp(a) | Op::Neg(a) => def(a),
+            _ => false,
+        };
+        if !pure {
+            return None;
+        }
+        defined.push(*dst);
+    }
+    Some(match flat_load(ops) {
+        Some((buf, x)) => Stationary::Load { buf, x: x.clone() },
+        None => Stationary::Tape {
+            tape: ops.to_vec(),
+            result: ops.last()?.dst,
+        },
+    })
+}
+
 /// Element count of a buffer, rejecting adversarial shapes whose product
 /// overflows `usize` (a wrapped count would defeat every downstream
 /// bounds proof and the work estimate).
@@ -1332,13 +1412,7 @@ fn scan_stmts(stmts: &[PStmt], scan: &mut ParScan) {
                 tape, buf, access, ..
             } => {
                 scan.stores.push((*buf, access.clone()));
-                for op in tape {
-                    match &op.op {
-                        Op::Load { buf, access } => scan.loads.push((*buf, access.clone())),
-                        Op::LoadDyn { buf, .. } => scan.dyn_bufs.push(*buf),
-                        _ => {}
-                    }
-                }
+                scan_tape(tape, scan);
             }
             // A macro reports the same accesses its scalar nest would:
             // the full affines still carry the consumed `j`/`k` terms,
@@ -1346,7 +1420,6 @@ fn scan_stmts(stmts: &[PStmt], scan: &mut ParScan) {
             PStmt::MacroMatmul {
                 y_buf,
                 y,
-                x_buf,
                 x,
                 w_buf,
                 w,
@@ -1354,21 +1427,37 @@ fn scan_stmts(stmts: &[PStmt], scan: &mut ParScan) {
             } => {
                 scan.stores.push((*y_buf, Access::Flat(y.clone())));
                 scan.loads.push((*y_buf, Access::Flat(y.clone())));
-                scan.loads.push((*x_buf, Access::Flat(x.clone())));
+                match x {
+                    Stationary::Load { buf, x } => scan.loads.push((*buf, Access::Flat(x.clone()))),
+                    Stationary::Tape { tape, .. } => scan_tape(tape, scan),
+                }
                 scan.loads.push((*w_buf, Access::Flat(w.clone())));
             }
         }
     }
 }
 
-/// `true` if any statement (recursively) is a macro-op.
-fn contains_macro(stmts: &[PStmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        PStmt::MacroMatmul { .. } => true,
-        PStmt::Loop { body, .. } => contains_macro(body),
-        PStmt::IfEq { then, .. } => contains_macro(then),
-        _ => false,
-    })
+fn scan_tape(tape: &[TapeOp], scan: &mut ParScan) {
+    for op in tape {
+        match &op.op {
+            Op::Load { buf, access } => scan.loads.push((*buf, access.clone())),
+            Op::LoadDyn { buf, .. } => scan.dyn_bufs.push(*buf),
+            _ => {}
+        }
+    }
+}
+
+/// Number of macro-op statements in `stmts`, recursively.
+fn count_macros(stmts: &[PStmt]) -> usize {
+    stmts
+        .iter()
+        .map(|s| match s {
+            PStmt::MacroMatmul { .. } => 1,
+            PStmt::Loop { body, .. } => count_macros(body),
+            PStmt::IfEq { then, .. } => count_macros(then),
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Moves every reference to counter slot `from` onto slot `to` — used by
@@ -1403,6 +1492,19 @@ fn remap_iter(stmts: &mut [PStmt], from: usize, to: usize) {
             Access::Checked(idxs) => idxs.iter_mut().for_each(|e| remap_idx(e, f)),
         }
     }
+    fn remap_tape(tape: &mut [TapeOp], f: &impl Fn(&mut Affine)) {
+        for op in tape {
+            match &mut op.op {
+                Op::Load { access, .. } => remap_access(access, f),
+                Op::Idx(e) => remap_idx(e, f),
+                Op::IdxEq(a, b) | Op::IdxLe(a, b) => {
+                    remap_idx(a, f);
+                    remap_idx(b, f);
+                }
+                _ => {}
+            }
+        }
+    }
     fn walk(stmts: &mut [PStmt], f: &impl Fn(&mut Affine)) {
         for s in stmts {
             match s {
@@ -1417,24 +1519,17 @@ fn remap_iter(stmts: &mut [PStmt], from: usize, to: usize) {
                 }
                 PStmt::Store { tape, access, .. } => {
                     remap_access(access, f);
-                    for op in tape {
-                        match &mut op.op {
-                            Op::Load { access, .. } => remap_access(access, f),
-                            Op::Idx(e) => remap_idx(e, f),
-                            Op::IdxEq(a, b) | Op::IdxLe(a, b) => {
-                                remap_idx(a, f);
-                                remap_idx(b, f);
-                            }
-                            _ => {}
-                        }
-                    }
+                    remap_tape(tape, f);
                 }
                 PStmt::ZeroScratch { .. } => {}
                 PStmt::MacroMatmul {
                     y, x, w, fallback, ..
                 } => {
                     f(y);
-                    f(x);
+                    match x {
+                        Stationary::Load { x, .. } => f(x),
+                        Stationary::Tape { tape, .. } => remap_tape(tape, f),
+                    }
                     f(w);
                     walk(std::slice::from_mut(&mut **fallback), f);
                 }
@@ -1555,7 +1650,15 @@ struct Machine<'a> {
     regs: Vec<Scalar>,
 }
 
-impl Machine<'_> {
+impl<'a> Machine<'a> {
+    /// The float cells bound to `buf` (callers checked the view is float).
+    fn float_cells(&self, ctx: &RunCtx, buf: usize) -> &'a [AtomicU64] {
+        match self.views[ctx.storage_of[buf]].data {
+            ViewData::F(s) => s,
+            ViewData::I(_) => unreachable!("macro fast path checked float views"),
+        }
+    }
+
     fn exec(&mut self, ctx: &RunCtx, s: &PStmt) -> Result<(), InterpError> {
         match s {
             PStmt::Loop { iter, extent, body } => {
@@ -1602,7 +1705,6 @@ impl Machine<'_> {
                 nk,
                 y_buf,
                 y,
-                x_buf,
                 x,
                 w_buf,
                 w,
@@ -1610,15 +1712,18 @@ impl Machine<'_> {
                 init,
                 fallback,
             } => {
-                let (sy, sx, sw) = (
-                    ctx.storage_of[*y_buf],
-                    ctx.storage_of[*x_buf],
-                    ctx.storage_of[*w_buf],
-                );
-                let fast = self.views[sy].writable
-                    && matches!(self.views[sy].data, ViewData::F(_))
-                    && matches!(self.views[sx].data, ViewData::F(_))
-                    && matches!(self.views[sw].data, ViewData::F(_));
+                let float =
+                    |buf: usize| matches!(self.views[ctx.storage_of[buf]].data, ViewData::F(_));
+                let fast = self.views[ctx.storage_of[*y_buf]].writable
+                    && float(*y_buf)
+                    && float(*w_buf)
+                    && match x {
+                        Stationary::Load { buf, .. } => float(*buf),
+                        Stationary::Tape { tape, .. } => tape.iter().all(|op| match op.op {
+                            Op::Load { buf, .. } => float(buf),
+                            _ => true,
+                        }),
+                    };
                 if !fast {
                     // Integer views or a read-only output: the scalar
                     // nest reproduces those semantics (and errors)
@@ -1629,22 +1734,22 @@ impl Machine<'_> {
                 // evaluate to block bases; outer-loop terms stay live.
                 self.iters[*j_iter] = 0;
                 self.iters[*k_iter] = 0;
-                let (y0, x0, w0) = (y.eval(&self.iters), x.eval(&self.iters), w.eval(&self.iters));
-                let (yj, xk) = (y.coeff(*j_iter), x.coeff(*k_iter));
+                let (y0, w0) = (y.eval(&self.iters), w.eval(&self.iters));
+                let yj = y.coeff(*j_iter);
                 let (wj, wk) = (w.coeff(*j_iter), w.coeff(*k_iter));
-                let dt = self.views[sy].dtype;
-                let (ViewData::F(ys), ViewData::F(xs), ViewData::F(ws)) = (
-                    &self.views[sy].data,
-                    &self.views[sx].data,
-                    &self.views[sw].data,
-                ) else {
-                    unreachable!("fast path checked above");
+                let dt = self.views[ctx.storage_of[*y_buf]].dtype;
+                let (ys, ws) = (self.float_cells(ctx, *y_buf), self.float_cells(ctx, *w_buf));
+                let (y_len, w_len) = (ctx.plan.bufs[*y_buf].numel, ctx.plan.bufs[*w_buf].numel);
+                let (xs, x0, xk, x_len) = match x {
+                    Stationary::Load { buf, x } => (
+                        self.float_cells(ctx, *buf),
+                        x.eval(&self.iters),
+                        x.coeff(*k_iter),
+                        ctx.plan.bufs[*buf].numel,
+                    ),
+                    // Unused: a prologue reads through the tape machine.
+                    Stationary::Tape { .. } => (&[][..], 0, 0, 0),
                 };
-                let (y_len, x_len, w_len) = (
-                    ctx.plan.bufs[*y_buf].numel,
-                    ctx.plan.bufs[*x_buf].numel,
-                    ctx.plan.bufs[*w_buf].numel,
-                );
                 let cell = |s: &[AtomicU64], flat: i64, numel: usize| {
                     if flat < 0 {
                         return Err(InterpError::NegativeIndex(flat));
@@ -1667,17 +1772,31 @@ impl Machine<'_> {
                     let bw = (*nj - jb).min(BJ);
                     acc[..bw as usize].fill(init_r);
                     for k in 0..*nk {
-                        let xf = cell(xs, x0 + xk * k, x_len)?;
+                        let xf = match x {
+                            Stationary::Load { .. } => cell(xs, x0 + xk * k, x_len)?,
+                            Stationary::Tape { tape, result } => {
+                                self.iters[*k_iter] = k;
+                                self.eval_tape(ctx, tape)?;
+                                self.regs[*result as usize].as_f64()
+                            }
+                        };
                         let wb = w0 + wk * k + wj * jb;
                         for t in 0..bw {
                             let wf = cell(ws, wb + wj * t, w_len)?;
-                            // Not identical branches: multiply operand
-                            // order decides which NaN payload propagates,
-                            // and the tape's order must be preserved.
-                            #[allow(clippy::if_same_then_else)]
-                            let p = if *x_first { xf * wf } else { wf * xf };
                             let t = t as usize;
-                            acc[t] = round_to_dtype(acc[t] + p, dt);
+                            // A non-NaN sum is the same in any operand
+                            // order; a NaN one is redone with the tape's
+                            // order-pinned ops so its payload matches.
+                            let mut sum = acc[t] + xf * wf;
+                            if sum.is_nan() {
+                                let p = if *x_first {
+                                    interp::fmul(xf, wf)
+                                } else {
+                                    interp::fmul(wf, xf)
+                                };
+                                sum = interp::fadd(acc[t], p);
+                            }
+                            acc[t] = round_to_dtype(sum, dt);
                         }
                     }
                     let yb = y0 + yj * jb;
@@ -1710,18 +1829,9 @@ impl Machine<'_> {
                 }
                 Ok(v as usize)
             }
-            Access::Checked(idxs) => {
-                let dims = &ctx.plan.bufs[buf].dims;
-                let mut concrete = Vec::with_capacity(idxs.len());
-                for e in idxs {
-                    let v = e.eval(&self.iters)?;
-                    if v < 0 {
-                        return Err(InterpError::NegativeIndex(v));
-                    }
-                    concrete.push(v as usize);
-                }
-                flat_of(&concrete, dims)
-            }
+            Access::Checked(idxs) => checked_flat(&ctx.plan.bufs[buf].dims, idxs.len(), |d| {
+                Ok(idxs[d].eval(&self.iters)?)
+            }),
         }
     }
 
@@ -1752,15 +1862,9 @@ impl Machine<'_> {
                         .ok_or_else(|| oob(flat, numel))?;
                 }
                 Op::LoadDyn { buf, idx_regs } => {
-                    let mut concrete = Vec::with_capacity(idx_regs.len());
-                    for r in idx_regs {
-                        let v = self.regs[*r as usize].as_i64();
-                        if v < 0 {
-                            return Err(InterpError::NegativeIndex(v));
-                        }
-                        concrete.push(v as usize);
-                    }
-                    let flat = flat_of(&concrete, &ctx.plan.bufs[*buf].dims)?;
+                    let flat = checked_flat(&ctx.plan.bufs[*buf].dims, idx_regs.len(), |d| {
+                        Ok(self.regs[idx_regs[d] as usize].as_i64())
+                    })?;
                     let numel = ctx.plan.bufs[*buf].numel;
                     self.regs[dst] = self.views[ctx.storage_of[*buf]]
                         .read(flat)
@@ -1770,7 +1874,7 @@ impl Machine<'_> {
                     self.regs[dst] = interp::binop(
                         self.regs[*a as usize],
                         self.regs[*b as usize],
-                        |x, y| x + y,
+                        interp::fadd,
                         |x, y| x.wrapping_add(y),
                     )
                 }
@@ -1786,7 +1890,7 @@ impl Machine<'_> {
                     self.regs[dst] = interp::binop(
                         self.regs[*a as usize],
                         self.regs[*b as usize],
-                        |x, y| x * y,
+                        interp::fmul,
                         |x, y| x.wrapping_mul(y),
                     )
                 }
@@ -1861,6 +1965,36 @@ impl Machine<'_> {
     }
 }
 
+/// Ranks up to this resolve checked accesses on the stack.
+const STACK_RANK: usize = 8;
+
+/// Evaluates `rank` per-dimension indices in order (`index(d)` for
+/// dimension `d`) and resolves them against `dims` with the interpreter's
+/// error precedence: every evaluation and negative-index check runs
+/// before any bounds check. No heap allocation up to [`STACK_RANK`].
+fn checked_flat(
+    dims: &[usize],
+    rank: usize,
+    mut index: impl FnMut(usize) -> Result<i64, InterpError>,
+) -> Result<usize, InterpError> {
+    let mut stack = [0usize; STACK_RANK];
+    let mut heap = Vec::new();
+    let concrete = if rank <= STACK_RANK {
+        &mut stack[..rank]
+    } else {
+        heap.resize(rank, 0);
+        &mut heap[..]
+    };
+    for (d, slot) in concrete.iter_mut().enumerate() {
+        let v = index(d)?;
+        if v < 0 {
+            return Err(InterpError::NegativeIndex(v));
+        }
+        *slot = v as usize;
+    }
+    flat_of(concrete, dims)
+}
+
 /// Row-major flat offset with the interpreter's exact bounds-error values.
 fn flat_of(indices: &[usize], dims: &[usize]) -> Result<usize, InterpError> {
     if indices.len() != dims.len() {
@@ -1903,12 +2037,18 @@ impl KernelPlan {
     /// its hot loops execute as blocked superinstructions instead of the
     /// scalar op tape.
     pub fn scheduled(&self) -> bool {
-        self.inner.has_macros
+        self.inner.macro_ops > 0
+    }
+
+    /// How many reduction nests schedule-gated recognition collapsed into
+    /// macro-op superinstructions (`0` for an unscheduled plan).
+    pub fn macro_ops(&self) -> usize {
+        self.inner.macro_ops
     }
 
     /// The parallelism cutoff this plan's [`KernelPlan::run`] applies.
     fn min_work(&self) -> u64 {
-        if self.inner.has_macros {
+        if self.scheduled() {
             PAR_MIN_WORK_MACRO
         } else {
             PAR_MIN_WORK
@@ -2381,6 +2521,35 @@ mod tests {
         let (x2, y2) = mk();
         let e2 = interp::run(&f, &[x2, y2]).unwrap_err();
         assert_eq!(e1, e2);
+    }
+
+    #[test]
+    fn checked_access_errors_match_interpreter_on_stack_and_heap_ranks() {
+        // Rank 2 resolves checked indices on the stack, rank 9 on the
+        // heap; both must raise the interpreter's error, with every
+        // negative-index check ahead of any bounds check.
+        for rank in [2usize, 9] {
+            for negative_last in [false, true] {
+                let y = Buffer::new("Y", vec![2.into(); rank], DataType::F32);
+                let (iv, nest) = grid(&[("i", 1.into())]);
+                let sq = PrimExpr::from(iv[0].clone()) * PrimExpr::from(iv[0].clone());
+                // Dim 0 is out of bounds (`i*i + 3`, not affine, so checked).
+                let mut idx = vec![sq.clone() + 3.into()];
+                idx.resize(rank, PrimExpr::Int(0));
+                if negative_last {
+                    idx[rank - 1] = sq - 1.into();
+                }
+                let body = nest.build(Stmt::store(&y, idx, TirExpr::FloatImm(1.0)));
+                let f = PrimFunc::new("checked", vec![y], 1, body);
+                let plan = compile(&f, &[vec![2; rank]]).unwrap();
+                let args = [NDArray::zeros(&vec![2; rank], DataType::F32)];
+                let got = plan.run(&args, 1).unwrap_err();
+                assert_eq!(got, interp::run(&f, &args).unwrap_err());
+                if negative_last {
+                    assert_eq!(got, InterpError::NegativeIndex(-1), "rank {rank}");
+                }
+            }
+        }
     }
 
     #[test]

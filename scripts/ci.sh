@@ -30,19 +30,11 @@ cargo test --workspace -q
 echo "==> serving smoke test (release)"
 cargo test -p relax-serve --release -q smoke
 
-echo "==> session serving smoke: mixed traffic + accounting (release)"
-# Continuous-batched sessions over the paged KV cache: asserts the
-# accounting identity retired+evicted+failed+shed == submitted and that
-# the page pool reconciles with zero pages leaked after shutdown.
-cargo test -p relax-serve --release -q --test sessions mixed_traffic_smoke_accounting
-
-echo "==> serving chaos smoke (seeded fault injection, release)"
-cargo test -p relax-serve --release -q --test chaos
-
 echo "==> concurrency and trace suites, 20 runs each (release)"
 # A flake in these suites fails CI instead of passing on a lucky run.
 # Session steps share the engine's supervised worker pool, so the
-# session, speculative-decoding and chaos suites run here too.
+# session suite (mixed traffic + page accounting), speculative decoding
+# and the seeded chaos harness run here too.
 for suite in "--test tracing" "-p relax-vm --test plan_cache_stress" "-p relax-serve --test stress8" \
     "-p relax-serve --test sessions" "-p relax-serve --test spec_decode" "-p relax-serve --test chaos"; do
     for _ in $(seq 20); do
@@ -55,23 +47,21 @@ for suite in "--test tracing" "-p relax-vm --test plan_cache_stress" "-p relax-s
     done
 done
 
-echo "==> dynamic-shape stress smoke: MoE routing + speculative decoding (release)"
-# The two end-to-end dynamic workloads, differentially tested: the
-# match_cast-mediated MoE dispatch against its pure-Rust oracle across
-# ragged token counts, speculative draft/verify sessions against plain
-# decode (bitwise token streams, rollback on rejection), and the
-# worst-case dry-run costing of the ragged dispatch.
+echo "==> dynamic-shape stress smoke: MoE routing (release)"
+# The match_cast-mediated MoE dispatch against its pure-Rust oracle
+# across ragged token counts, and the worst-case dry-run costing of the
+# ragged dispatch. (Speculative decoding runs in the 20-run loop above.)
 cargo test --release -q --test moe_diff
-cargo test -p relax-serve --release -q --test spec_decode
 cargo test -p relax-sim --release -q --test moe_cost
 cargo test --release -q --test golden_roundtrip
 
 echo "==> kernel-schedule ablation smoke (release)"
 # Scheduled (macro-op) plans against unscheduled plans and the reference
-# interpreter, bitwise, across every schedule-primitive combination, plus
-# the 32-config pipeline ablation that toggles kernel_schedule with the
-# other pipeline knobs.
+# interpreter, bitwise, across every schedule-primitive combination and
+# for legalized attention's two macro-ops, plus the 32-config pipeline
+# ablation that toggles kernel_schedule with the other pipeline knobs.
 cargo test -p relax-tir --release -q --test schedule_diff
+cargo test --release -q --test attention_macros
 cargo test --release -q --test pipeline_ablation
 
 echo "==> cargo doc --workspace --no-deps"
